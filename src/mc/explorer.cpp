@@ -22,8 +22,8 @@ void Explorer::trim_trailing_zeros(Schedule& s) {
 }
 
 RunRecord Explorer::run(const RunOptions& ropt) {
-  sim::Engine engine;
   std::unique_ptr<Scenario> scenario = factory_();
+  sim::Engine& engine = scenario->engine();
   Controller::Options copt;
   copt.prefix = ropt.prefix;
   copt.random_tail = ropt.random_tail;
@@ -50,7 +50,7 @@ RunRecord Explorer::run(const RunOptions& ropt) {
     };
   }
 
-  scenario->start(engine, ctl);
+  scenario->start(ctl);
   try {
     engine.run();
     scenario->check();
@@ -116,6 +116,7 @@ ExploreResult Explorer::explore() {
     }
     if (rec.violation) {
       ++res.violations;
+      ++res.diagnostics[rec.message];
       if (res.failures.size() < kMaxFailuresKept) res.failures.push_back(rec);
     }
     res.max_branch_depth = std::max(res.max_branch_depth, rec.schedule.choices.size());
@@ -153,6 +154,7 @@ ExploreResult Explorer::sample(std::uint64_t runs, std::uint64_t seed) {
     res.total_events += rec.events;
     if (rec.violation) {
       ++res.violations;
+      ++res.diagnostics[rec.message];
       if (res.failures.size() < kMaxFailuresKept) res.failures.push_back(rec);
     }
     res.max_branch_depth = std::max(res.max_branch_depth, rec.schedule.choices.size());

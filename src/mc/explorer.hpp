@@ -1,7 +1,7 @@
 // Schedule-space exploration over a Scenario.
 //
-// Every run rebuilds the scenario from scratch on a fresh engine and drives
-// it through one interleaving (a Controller with a forced choice prefix).
+// Every run rebuilds the scenario — and the engine it owns — from scratch and
+// drives it through one interleaving (a Controller with a forced choice prefix).
 // On top of that single-run primitive the explorer offers:
 //
 //   * explore()  — exhaustive DFS over the choice tree, CHESS-style: run
@@ -24,12 +24,14 @@
 //
 // Soundness note on pruning: a fingerprint that fails to cover part of the
 // observable state can merge distinct states and hide interleavings.  The
-// bundled scenarios fold in every per-task progress counter and all
-// protocol state; for a belt-and-braces proof run, pass prune = false.
+// bare-engine bundled scenarios fold in every per-task progress counter and
+// all protocol state; the ones driving a real Pfs return 0 and are never
+// pruned.  For a belt-and-braces proof run, pass prune = false.
 
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -77,6 +79,8 @@ struct ExploreResult {
   std::size_t max_branch_depth = 0;
   bool exhausted = false;       ///< the whole choice tree was enumerated
   std::vector<RunRecord> failures;  ///< first violating runs (capped)
+  /// Every violating run's diagnostic, with the number of runs that gave it.
+  std::map<std::string, std::uint64_t> diagnostics;
 };
 
 class Explorer {

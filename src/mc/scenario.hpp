@@ -1,12 +1,15 @@
 // Scenario interface: a small, self-contained protocol configuration the
 // model checker can rebuild from scratch for every explored interleaving.
 //
-// A scenario owns everything about one run — the protocol objects under
-// test and the tasks that drive them — and exposes the three things the
-// explorer needs: invariants to check on every step, end-of-run invariants,
-// and an observable-state fingerprint for convergence pruning.  Scenarios
-// must be deterministic given the controller's decisions: no wall clock, no
-// unseeded randomness, no iteration over address-keyed containers.
+// A scenario owns everything about one run — the engine, the protocol
+// objects under test and the tasks that drive them — and exposes the things
+// the explorer needs: the engine to control, invariants to check on every
+// step, end-of-run invariants, and an observable-state fingerprint for
+// convergence pruning.  Owning the engine lets a scenario build a whole
+// hw::Machine (which carries its own engine) and run the shipped file
+// system on it.  Scenarios must be deterministic given the controller's
+// decisions: no wall clock, no unseeded randomness, no iteration over
+// address-keyed containers.
 
 #pragma once
 
@@ -32,13 +35,18 @@ class Scenario {
  public:
   virtual ~Scenario() = default;
 
-  /// Spawns the scenario's tasks on a fresh engine.  `ctl` outlives the run;
-  /// tasks may capture it and call ctl.choose() to surface fault/timeout
-  /// placement as decision points.
-  virtual void start(sim::Engine& engine, Controller& ctl) = 0;
+  /// The fresh engine this run executes on; the explorer installs its
+  /// controller there.  Lives as long as the scenario.
+  virtual sim::Engine& engine() = 0;
+
+  /// Spawns the scenario's tasks on engine().  `ctl` outlives the run; tasks
+  /// may capture it and call ctl.choose() to surface fault/timeout placement
+  /// as decision points.
+  virtual void start(Controller& ctl) = 0;
 
   /// Step invariants, evaluated after every dispatched event.  Throw
-  /// InvariantViolation on failure.
+  /// InvariantViolation on failure.  Being the per-dispatch hook, it is
+  /// also where a scenario fires faults placed by dispatch count.
   virtual void check() {}
 
   /// End-of-run invariants (all tasks finished, effects exactly once, ...).

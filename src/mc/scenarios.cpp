@@ -2,127 +2,85 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "machine/machine.hpp"
 #include "machine/os_profile.hpp"
 #include "mc/fingerprint.hpp"
+#include "pablo/collector.hpp"
 #include "pfs/metadata.hpp"
+#include "pfs/pfs.hpp"
 #include "qos/breaker.hpp"
 #include "qos/qos.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
-#include "sim/timeout.hpp"
 
 namespace sio::mc {
 namespace {
 
-// --------------------------------------------------------------- token -----
-// Distilled M_UNIX token: one FIFO mutex, `tasks` workers re-entering a
-// same-tick melee every round.  The hold duration (0 or 1 ticks) is a
-// choose() point, so release-vs-acquire races on the same tick become
-// explicit branches.
-class TokenScenario final : public Scenario {
+// --------------------------------------------------------- bare engine -----
+// Base of the scenarios that drive one protocol object on a bare engine:
+// `tasks` workers of `rounds` rounds each.  finish() demands that every
+// worker completed; mix_tasks() folds progress and phase into a fingerprint.
+class TaskScenario : public Scenario {
  public:
-  TokenScenario(int tasks, int rounds) : tasks_(tasks), rounds_(rounds) {}
-
-  void start(sim::Engine& engine, Controller& ctl) override {
-    engine_ = &engine;
-    ctl_ = &ctl;
-    token_ = std::make_unique<sim::Mutex>(engine, "mc.token");
-    progress_.assign(static_cast<std::size_t>(tasks_), 0);
-    phase_.assign(static_cast<std::size_t>(tasks_), 0);
-    for (int i = 0; i < tasks_; ++i) engine.spawn(worker(i));
-  }
-
-  void check() override {
-    if (holders_ > 1) {
-      throw InvariantViolation("token: " + std::to_string(holders_) +
-                               " simultaneous holders of one token");
-    }
-  }
+  sim::Engine& engine() override { return engine_; }
 
   void finish() override {
-    if (holders_ != 0) throw InvariantViolation("token: holder survived the run");
-    for (int i = 0; i < tasks_; ++i) {
-      if (progress_[static_cast<std::size_t>(i)] != rounds_) {
-        throw InvariantViolation("token: worker " + std::to_string(i) +
-                                 " finished only " +
-                                 std::to_string(progress_[static_cast<std::size_t>(i)]) + "/" +
-                                 std::to_string(rounds_) + " rounds");
-      }
+    for (std::size_t i = 0; i < progress_.size(); ++i) {
+      if (progress_[i] != rounds_) fail("worker " + std::to_string(i) + " incomplete");
     }
   }
 
-  std::uint64_t fingerprint() const override {
-    Fingerprint fp;
-    fp.mix(0x746f6b656eULL);  // "token"
-    fp.mix(static_cast<std::uint64_t>(holders_));
-    fp.mix(static_cast<std::uint64_t>(token_->locked()));
-    fp.mix(token_->queue_length());
-    for (int i = 0; i < tasks_; ++i) {
-      fp.mix(static_cast<std::uint64_t>(progress_[static_cast<std::size_t>(i)]));
-      fp.mix(static_cast<std::uint64_t>(phase_[static_cast<std::size_t>(i)]));
-    }
-    return fp.value();
+ protected:
+  TaskScenario(const char* name, int tasks, int rounds)
+      : name_(name), rounds_(rounds), progress_(static_cast<std::size_t>(tasks)),
+        phase_(progress_) {}
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw InvariantViolation(name_ + ": " + what);
   }
 
- private:
-  sim::Task<void> worker(int id) {
-    const auto slot = static_cast<std::size_t>(id);
-    for (int r = 0; r < rounds_; ++r) {
-      co_await engine_->delay(0);  // rejoin the same-tick melee each round
-      phase_[slot] = 1;            // contending
-      auto guard = co_await token_->scoped();
-      phase_[slot] = 2;  // holding
-      ++holders_;
-      co_await engine_->delay(static_cast<sim::Tick>(ctl_->choose(2)));
-      --holders_;
-      phase_[slot] = 0;
-      ++progress_[slot];
+  void mix_tasks(Fingerprint& fp) const {
+    for (std::size_t i = 0; i < progress_.size(); ++i) {
+      fp.mix(static_cast<std::uint64_t>(progress_[i]));
+      fp.mix(static_cast<std::uint64_t>(phase_[i]));
     }
   }
 
-  int tasks_;
+  std::string name_;
   int rounds_;
-  sim::Engine* engine_ = nullptr;
+  sim::Engine engine_;
   Controller* ctl_ = nullptr;
-  std::unique_ptr<sim::Mutex> token_;
-  int holders_ = 0;
-  std::vector<int> progress_;
-  std::vector<int> phase_;
+  std::vector<int> progress_, phase_;
 };
 
 // ---------------------------------------------------------- token.meta -----
 // The real metadata/token server under concurrent grant traffic on one
-// shared file.  The MetaServiceProbe observes every grant-held window; the
-// invariant is the paper's M_UNIX serialization contract: at most one holder
-// per (file, service class) at any instant, on every interleaving.
-class TokenMetaScenario final : public Scenario, public pfs::MetaServiceProbe {
+// shared file; a MetaServiceProbe watches every grant-held window for the
+// paper's M_UNIX contract: at most one holder per (file, service class).
+class TokenMetaScenario final : public TaskScenario, public pfs::MetaServiceProbe {
  public:
-  TokenMetaScenario(int clients, int ops) : clients_(clients), ops_(ops) {}
+  TokenMetaScenario(int clients, int ops) : TaskScenario("token.meta", clients, ops) {}
 
-  void start(sim::Engine& engine, Controller& ctl) override {
-    engine_ = &engine;
+  void start(Controller& ctl) override {
     ctl_ = &ctl;
-    os_ = hw::osf_r12();
-    meta_ = std::make_unique<pfs::MetadataServer>(engine, os_);
+    meta_ = std::make_unique<pfs::MetadataServer>(engine_, os_);
     meta_->set_probe(this);
-    progress_.assign(static_cast<std::size_t>(clients_), 0);
-    phase_.assign(static_cast<std::size_t>(clients_), 0);
-    for (int i = 0; i < clients_; ++i) engine.spawn(worker(i));
+    for (std::size_t i = 0; i < progress_.size(); ++i) engine_.spawn(worker(static_cast<int>(i)));
   }
 
   void on_service_begin(pablo::FileId file, pfs::MetaClass cls) override {
     int& n = in_service_[{file, static_cast<int>(cls)}];
     if (++n > 1) {
-      throw InvariantViolation("token.meta: " + std::to_string(n) +
-                               " simultaneous grant holders on file " + std::to_string(file) +
-                               " class " + std::to_string(static_cast<int>(cls)));
+      fail(std::to_string(n) + " simultaneous grant holders on file " + std::to_string(file) +
+           " class " + std::to_string(static_cast<int>(cls)));
     }
   }
 
@@ -132,16 +90,9 @@ class TokenMetaScenario final : public Scenario, public pfs::MetaServiceProbe {
 
   void finish() override {
     for (const auto& [key, n] : in_service_) {
-      if (n != 0) {
-        throw InvariantViolation("token.meta: grant still held on file " +
-                                 std::to_string(key.first) + " at end of run");
-      }
+      if (n != 0) fail("grant still held on file " + std::to_string(key.first) + " at end of run");
     }
-    for (int i = 0; i < clients_; ++i) {
-      if (progress_[static_cast<std::size_t>(i)] != ops_) {
-        throw InvariantViolation("token.meta: client " + std::to_string(i) + " incomplete");
-      }
-    }
+    TaskScenario::finish();
   }
 
   std::uint64_t fingerprint() const override {
@@ -153,10 +104,7 @@ class TokenMetaScenario final : public Scenario, public pfs::MetaServiceProbe {
       fp.mix(static_cast<std::uint64_t>(key.second));
       fp.mix(static_cast<std::uint64_t>(n));
     }
-    for (int i = 0; i < clients_; ++i) {
-      fp.mix(static_cast<std::uint64_t>(progress_[static_cast<std::size_t>(i)]));
-      fp.mix(static_cast<std::uint64_t>(phase_[static_cast<std::size_t>(i)]));
-    }
+    mix_tasks(fp);
     return fp.value();
   }
 
@@ -164,8 +112,8 @@ class TokenMetaScenario final : public Scenario, public pfs::MetaServiceProbe {
   sim::Task<void> worker(int id) {
     const auto slot = static_cast<std::size_t>(id);
     constexpr pablo::FileId kSharedFile = 1;
-    for (int op = 0; op < ops_; ++op) {
-      co_await engine_->delay(0);
+    for (int op = 0; op < rounds_; ++op) {
+      co_await engine_.delay(0);
       const std::uint32_t which = ctl_->choose(3);
       phase_[slot] = 1 + static_cast<int>(which);
       switch (which) {
@@ -178,159 +126,22 @@ class TokenMetaScenario final : public Scenario, public pfs::MetaServiceProbe {
     }
   }
 
-  int clients_;
-  int ops_;
-  sim::Engine* engine_ = nullptr;
-  Controller* ctl_ = nullptr;
-  hw::OsProfile os_;
+  hw::OsProfile os_ = hw::osf_r12();
   std::unique_ptr<pfs::MetadataServer> meta_;
   std::map<std::pair<pablo::FileId, int>, int> in_service_;
-  std::vector<int> progress_;
-  std::vector<int> phase_;
-};
-
-// --------------------------------------------------------------- retry -----
-// Distilled deadline/retry RPC over with_timeout's abandon semantics: a
-// timed-out attempt keeps running detached and its effect still lands, so
-// without server-side replay dedup the retry double-applies.  The service
-// duration is a choose() point calibrated so completion and deadline expiry
-// collide on the same tick — whichever the scheduler dispatches first
-// decides the race.
-class RetryScenario final : public Scenario {
- public:
-  static constexpr sim::Tick kDeadline = 2;
-  static constexpr int kMaxAttempts = 3;
-
-  RetryScenario(int ops, bool cache) : ops_(ops), cache_(cache) {}
-
-  void start(sim::Engine& engine, Controller& ctl) override {
-    engine_ = &engine;
-    ctl_ = &ctl;
-    ch_ = std::make_unique<sim::Channel<Request>>(engine, "mc.rpc");
-    effects_.assign(static_cast<std::size_t>(ops_), 0);
-    attempts_.assign(static_cast<std::size_t>(ops_), 0);
-    acked_.assign(static_cast<std::size_t>(ops_), 0);
-    cached_.assign(static_cast<std::size_t>(ops_), 0);
-    engine.spawn(server());
-    for (int op = 0; op < ops_; ++op) engine.spawn(client(op));
-  }
-
-  void check() override {
-    for (int op = 0; op < ops_; ++op) {
-      const int n = effects_[static_cast<std::size_t>(op)];
-      if (n > 1) {
-        throw InvariantViolation("retry: op " + std::to_string(op) + " effect applied " +
-                                 std::to_string(n) + " times (exactly-once violated)");
-      }
-    }
-  }
-
-  void finish() override {
-    for (int op = 0; op < ops_; ++op) {
-      if (acked_[static_cast<std::size_t>(op)] == 0) {
-        throw InvariantViolation("retry: op " + std::to_string(op) + " never acknowledged");
-      }
-      if (effects_[static_cast<std::size_t>(op)] != 1) {
-        throw InvariantViolation("retry: op " + std::to_string(op) + " effect applied " +
-                                 std::to_string(effects_[static_cast<std::size_t>(op)]) +
-                                 " times (exactly-once violated)");
-      }
-    }
-  }
-
-  std::uint64_t fingerprint() const override {
-    Fingerprint fp;
-    fp.mix(0x7265747279ULL);  // "retry"
-    fp.mix(static_cast<std::uint64_t>(fins_));
-    fp.mix(static_cast<std::uint64_t>(server_phase_));
-    fp.mix(ch_->size());
-    for (int op = 0; op < ops_; ++op) {
-      const auto slot = static_cast<std::size_t>(op);
-      fp.mix(static_cast<std::uint64_t>(effects_[slot]));
-      fp.mix(static_cast<std::uint64_t>(attempts_[slot]));
-      fp.mix(static_cast<std::uint64_t>(acked_[slot]));
-      fp.mix(static_cast<std::uint64_t>(cached_[slot]));
-    }
-    return fp.value();
-  }
-
- private:
-  struct Request {
-    int op = -1;  // -1 = client-finished sentinel
-    std::shared_ptr<sim::Event> done;
-  };
-
-  sim::Task<void> server() {
-    while (fins_ < ops_) {
-      Request r = co_await ch_->pop();
-      if (r.op < 0) {
-        ++fins_;
-        continue;
-      }
-      const auto slot = static_cast<std::size_t>(r.op);
-      if (cache_ && cached_[slot] != 0) {
-        // Replay cache hit: the op already executed (possibly for an attempt
-        // the client abandoned) — acknowledge without re-applying.
-        r.done->set();
-        continue;
-      }
-      server_phase_ = 1;
-      co_await engine_->delay(1 + static_cast<sim::Tick>(ctl_->choose(2)));
-      server_phase_ = 0;
-      ++effects_[slot];
-      if (cache_) cached_[slot] = 1;
-      r.done->set();
-    }
-  }
-
-  static sim::Task<void> await_event(std::shared_ptr<sim::Event> ev) { co_await ev->wait(); }
-
-  sim::Task<void> client(int op) {
-    const auto slot = static_cast<std::size_t>(op);
-    co_await engine_->delay(0);
-    for (int a = 0; a < kMaxAttempts; ++a) {
-      ++attempts_[slot];
-      auto done = std::make_shared<sim::Event>(*engine_, "mc.rpc.reply");
-      ch_->push(Request{op, done});
-      if (a + 1 == kMaxAttempts) {
-        // Final attempt blocks without a deadline, so every run terminates.
-        co_await done->wait();
-        break;
-      }
-      const sim::WaitStatus st =
-          co_await sim::with_timeout(*engine_, await_event(done), kDeadline, "mc.rpc.deadline");
-      if (st == sim::WaitStatus::kCompleted) break;
-    }
-    acked_[slot] = 1;
-    ch_->push(Request{});
-  }
-
-  int ops_;
-  bool cache_;
-  sim::Engine* engine_ = nullptr;
-  Controller* ctl_ = nullptr;
-  std::unique_ptr<sim::Channel<Request>> ch_;
-  std::vector<int> effects_;
-  std::vector<int> attempts_;
-  std::vector<int> acked_;
-  std::vector<int> cached_;
-  int fins_ = 0;
-  int server_phase_ = 0;
 };
 
 // ------------------------------------------------------------- breaker -----
-// The real per-I/O-node circuit breaker with a window of 2 outcomes, fed by
-// two interleaved drivers whose attempt outcomes are choose() points.  The
-// checker snapshots the observable state after every dispatched event and
-// verifies the state machine only moved along legal paths: closed can reach
-// half-open only through an open, a close needs a half-open probe, counters
-// never run backwards, and the outcome window stays bounded.
-class BreakerScenario final : public Scenario {
+// The real per-I/O-node circuit breaker (window of 2 outcomes) fed by two
+// drivers whose attempt outcomes are choose() points.  After every dispatch
+// the observable state may only have moved along legal paths: half-open only
+// through an open, a close needs a half-open probe, counters never run
+// backwards, and the outcome window stays bounded.
+class BreakerScenario final : public TaskScenario {
  public:
-  explicit BreakerScenario(int rounds) : rounds_(rounds) {}
+  explicit BreakerScenario(int rounds) : TaskScenario("breaker", 2, rounds) {}
 
-  void start(sim::Engine& engine, Controller& ctl) override {
-    engine_ = &engine;
+  void start(Controller& ctl) override {
     ctl_ = &ctl;
     cfg_.enabled = true;
     cfg_.breaker_window = 2;
@@ -338,10 +149,9 @@ class BreakerScenario final : public Scenario {
     cfg_.breaker_trip_ratio = 0.5;
     cfg_.breaker_open_for = 2;
     cfg_.breaker_halfopen_probes = 1;
-    br_ = std::make_unique<qos::CircuitBreaker>(engine, /*io_node=*/0, cfg_, nullptr);
+    br_ = std::make_unique<qos::CircuitBreaker>(engine_, /*io_node=*/0, cfg_, nullptr);
     last_ = snapshot();
-    progress_.assign(2, 0);
-    for (int i = 0; i < 2; ++i) engine.spawn(driver(i));
+    for (int i = 0; i < 2; ++i) engine_.spawn(stream(i));
   }
 
   void check() override {
@@ -367,9 +177,8 @@ class BreakerScenario final : public Scenario {
       using S = qos::BreakerState;
       const std::uint64_t d_open = cur.opens - p.opens;
       const std::uint64_t d_close = cur.closes - p.closes;
-      // Several transitions can fire inside one dispatched event (the lazy
-      // open -> half-open advance composes with the consultation's own
-      // transition), so legality is judged from the counter deltas.
+      // One dispatch can fire several transitions (the lazy open -> half-open
+      // advance composes with the consultation's), so judge by counter deltas.
       if (p.state == S::kClosed && cur.state == S::kHalfOpen && d_open == 0) {
         fail("closed -> half-open without passing through open");
       }
@@ -385,14 +194,6 @@ class BreakerScenario final : public Scenario {
     }
   }
 
-  void finish() override {
-    for (int i = 0; i < 2; ++i) {
-      if (progress_[static_cast<std::size_t>(i)] != rounds_) {
-        throw InvariantViolation("breaker: driver " + std::to_string(i) + " incomplete");
-      }
-    }
-  }
-
   std::uint64_t fingerprint() const override {
     Fingerprint fp;
     fp.mix(0x62726b72ULL);  // "brkr"
@@ -403,22 +204,17 @@ class BreakerScenario final : public Scenario {
     fp.mix(br_->window_size());
     fp.mix(static_cast<std::uint64_t>(br_->window_failures()));
     fp.mix(static_cast<std::uint64_t>(br_->probes_left()));
-    fp.mix_signed(std::max<sim::Tick>(br_->open_until() - engine_->now(), 0));
-    for (int i = 0; i < 2; ++i) {
-      fp.mix(static_cast<std::uint64_t>(progress_[static_cast<std::size_t>(i)]));
-    }
+    fp.mix_signed(std::max<sim::Tick>(br_->open_until() - engine_.now(), 0));
+    mix_tasks(fp);
     return fp.value();
   }
 
  private:
   struct Snap {
     qos::BreakerState state = qos::BreakerState::kClosed;
-    std::uint64_t opens = 0;
-    std::uint64_t closes = 0;
-    std::uint64_t probes = 0;
+    std::uint64_t opens = 0, closes = 0, probes = 0;
     std::size_t win = 0;
-    int winf = 0;
-    int probes_left = 0;
+    int winf = 0, probes_left = 0;
   };
 
   Snap snapshot() const {
@@ -426,90 +222,69 @@ class BreakerScenario final : public Scenario {
                 br_->window_size(), br_->window_failures(), br_->probes_left()};
   }
 
-  [[noreturn]] static void fail(const std::string& what) {
-    throw InvariantViolation("breaker: " + what);
-  }
-
-  sim::Task<void> driver(int id) {
+  sim::Task<void> stream(int id) {
     const auto slot = static_cast<std::size_t>(id);
     for (int r = 0; r < rounds_; ++r) {
-      co_await engine_->delay(0);
+      co_await engine_.delay(0);
       if (br_->allow_attempt(id)) {
-        co_await engine_->delay(1);  // the attempt itself takes a tick
+        co_await engine_.delay(1);  // the attempt itself takes a tick
         if (ctl_->choose(2) == 1) {
           br_->on_failure(id);
         } else {
           br_->on_success(id);
         }
       } else {
-        // Held back: wait either one tick (re-consult early) or past the
-        // open interval — the wait length is itself a decision point.
-        co_await engine_->delay(1 + static_cast<sim::Tick>(ctl_->choose(2)));
+        // Held back: re-consult after one tick or past the open interval.
+        co_await engine_.delay(1 + static_cast<sim::Tick>(ctl_->choose(2)));
       }
       ++progress_[slot];
     }
   }
 
-  int rounds_;
-  sim::Engine* engine_ = nullptr;
-  Controller* ctl_ = nullptr;
   qos::QosConfig cfg_;
   std::unique_ptr<qos::CircuitBreaker> br_;
   Snap last_;
-  std::vector<int> progress_;
 };
 
 // ----------------------------------------------------------------- qos -----
-// The real bounded admission queue at its tightest configuration: one
-// service slot, one waiter per (class, node) queue.  Invariants are the
-// design bounds themselves — occupancy <= slots, waiting <= limit x queues,
-// peak pending <= slots + limit x queues — plus starvation-freedom for the
-// credit-paced retry loop.
-class QosScenario final : public Scenario {
+// The real bounded admission queue at its tightest: one service slot, one
+// waiter per (class, node) queue.  Invariants are the design bounds —
+// occupancy <= slots, waiting <= limit x queues, peak pending <= slots +
+// limit x queues — plus starvation-freedom for the credit-paced retries.
+class QosScenario final : public TaskScenario {
  public:
-  QosScenario(int nodes, int ops) : nodes_(nodes), ops_(ops) {}
+  QosScenario(int nodes, int ops) : TaskScenario("qos", nodes, ops) {}
 
-  void start(sim::Engine& engine, Controller& ctl) override {
-    engine_ = &engine;
+  void start(Controller& ctl) override {
     ctl_ = &ctl;
     cfg_.enabled = true;
     cfg_.service_slots = 1;
     cfg_.queue_limit = 1;
     cfg_.shed_enabled = false;
     cfg_.drr_quantum = 4;
-    qos_ = std::make_unique<qos::ServerQos>(engine, /*server_id=*/-1, cfg_, nullptr);
-    progress_.assign(static_cast<std::size_t>(nodes_), 0);
-    phase_.assign(static_cast<std::size_t>(nodes_), 0);
-    for (int n = 0; n < nodes_; ++n) engine.spawn(worker(n));
+    qos_ = std::make_unique<qos::ServerQos>(engine_, /*server_id=*/-1, cfg_, nullptr);
+    for (std::size_t n = 0; n < progress_.size(); ++n) engine_.spawn(worker(static_cast<int>(n)));
   }
 
   void check() override {
-    const std::size_t wait_bound = cfg_.queue_limit * static_cast<std::size_t>(nodes_);
+    const std::size_t wait_bound = cfg_.queue_limit * progress_.size();
     if (qos_->occupancy() > cfg_.service_slots) {
-      throw InvariantViolation("qos: occupancy " + std::to_string(qos_->occupancy()) +
-                               " exceeds " + std::to_string(cfg_.service_slots) +
-                               " service slots");
+      fail("occupancy " + std::to_string(qos_->occupancy()) + " exceeds " +
+           std::to_string(cfg_.service_slots) + " service slots");
     }
     if (qos_->waiting() > wait_bound) {
-      throw InvariantViolation("qos: " + std::to_string(qos_->waiting()) +
-                               " waiting ops exceed the bound " + std::to_string(wait_bound));
+      fail(std::to_string(qos_->waiting()) + " waiting ops exceed the bound " +
+           std::to_string(wait_bound));
     }
     if (qos_->max_pending() > cfg_.service_slots + wait_bound) {
-      throw InvariantViolation("qos: peak pending " + std::to_string(qos_->max_pending()) +
-                               " exceeds slots + queue bound " +
-                               std::to_string(cfg_.service_slots + wait_bound));
+      fail("peak pending " + std::to_string(qos_->max_pending()) +
+           " exceeds slots + queue bound " + std::to_string(cfg_.service_slots + wait_bound));
     }
   }
 
   void finish() override {
-    if (qos_->occupancy() != 0 || qos_->waiting() != 0) {
-      throw InvariantViolation("qos: queue not drained at end of run");
-    }
-    for (int n = 0; n < nodes_; ++n) {
-      if (progress_[static_cast<std::size_t>(n)] != ops_) {
-        throw InvariantViolation("qos: node " + std::to_string(n) + " incomplete");
-      }
-    }
+    if (qos_->occupancy() != 0 || qos_->waiting() != 0) fail("queue not drained at end of run");
+    TaskScenario::finish();
   }
 
   std::uint64_t fingerprint() const override {
@@ -521,10 +296,7 @@ class QosScenario final : public Scenario {
     fp.mix(qos_->rejected());
     fp.mix(qos_->credits_issued());
     fp.mix(qos_->max_pending());
-    for (int n = 0; n < nodes_; ++n) {
-      fp.mix(static_cast<std::uint64_t>(progress_[static_cast<std::size_t>(n)]));
-      fp.mix(static_cast<std::uint64_t>(phase_[static_cast<std::size_t>(n)]));
-    }
+    mix_tasks(fp);
     return fp.value();
   }
 
@@ -532,8 +304,8 @@ class QosScenario final : public Scenario {
   sim::Task<void> worker(int node) {
     const auto slot = static_cast<std::size_t>(node);
     constexpr sim::Tick kCost = 2;
-    for (int op = 0; op < ops_; ++op) {
-      co_await engine_->delay(0);
+    for (int op = 0; op < rounds_; ++op) {
+      co_await engine_.delay(0);
       phase_[slot] = 1;  // seeking admission
       int tries = 0;
       for (;;) {
@@ -541,519 +313,319 @@ class QosScenario final : public Scenario {
             co_await qos_->admit(node, qos::OpClass::kData, kCost, /*deadline_left=*/0);
         if (adm.verdict == qos::Verdict::kAdmitted) {
           phase_[slot] = 2;  // in service
-          co_await engine_->delay(1 + static_cast<sim::Tick>(ctl_->choose(2)));
+          co_await engine_.delay(1 + static_cast<sim::Tick>(ctl_->choose(2)));
           qos_->release(kCost, adm.granted_at);
           break;
         }
-        if (++tries > 32) {
-          throw InvariantViolation("qos: node " + std::to_string(node) +
-                                   " starved after 32 rejected admissions");
-        }
-        co_await engine_->delay(std::max<sim::Tick>(adm.retry_after, 1));
+        if (++tries > 32) fail("node " + std::to_string(node) + " starved after 32 rejections");
+        co_await engine_.delay(std::max<sim::Tick>(adm.retry_after, 1));
       }
       phase_[slot] = 0;
       ++progress_[slot];
     }
   }
 
-  int nodes_;
-  int ops_;
-  sim::Engine* engine_ = nullptr;
-  Controller* ctl_ = nullptr;
   qos::QosConfig cfg_;
   std::unique_ptr<qos::ServerQos> qos_;
-  std::vector<int> progress_;
-  std::vector<int> phase_;
 };
 
-// ----------------------------------------------------------------- wal -----
-// Distilled write-behind node with a write-ahead journal, modeling the
-// IoServer recovery protocol: each writer journals an intent record (one
-// tick) and then acks a buffered write; a flusher picks dirty units and
-// writes them back, trimming the record only when the transfer completes; a
-// crash controller drops the cache at a choose()-placed tick and, with the
-// journal on, runs a redo pass over open records that a second
-// choose()-gated fault can interrupt mid-flight (the pass restarts under a
-// new epoch, exactly like IoServer::recover).  Step invariants: a record is
-// redone at most once (only epoch-checked completions retire it), and an
-// acknowledged write is always durable, cached, or journaled — never
-// unrecoverable.  Without the journal the explorer finds the interleaving
-// where the crash lands between ack and write-back.
-class WalScenario final : public Scenario {
+// ------------------------------------------------------------- pfs rig -----
+// One compute node on a 2x2 mesh driving a real pfs::Pfs (one I/O node)
+// through Pfs::transfer, spans on.  Subclasses arm faults "right after the
+// k-th dispatch from now" (k from choose()); check() runs after every
+// dispatch, checks the invariants of scenarios.hpp, then fires the faults
+// due.  fingerprint() stays 0 (parked frames are unobservable): no pruning.
+class PfsRig : public Scenario {
  public:
-  WalScenario(int writes, bool journal) : writes_(writes), journal_(journal) {}
-
-  void start(sim::Engine& engine, Controller& ctl) override {
-    engine_ = &engine;
-    ctl_ = &ctl;
-    acked_.assign(static_cast<std::size_t>(writes_), 0);
-    dirty_.assign(static_cast<std::size_t>(writes_), 0);
-    durable_.assign(static_cast<std::size_t>(writes_), 0);
-    jopen_.assign(static_cast<std::size_t>(writes_), 0);
-    redone_.assign(static_cast<std::size_t>(writes_), 0);
-    wphase_.assign(static_cast<std::size_t>(writes_), 0);
-    engine.spawn(flusher());
-    engine.spawn(crasher());
-    engine.spawn(double_fault());
-    for (int u = 0; u < writes_; ++u) engine.spawn(writer(u));
-  }
+  sim::Engine& engine() override { return machine_.engine(); }
+  pfs::IoServer& server() { return fs_.server(0); }
 
   void check() override {
-    for (int u = 0; u < writes_; ++u) {
-      const auto slot = static_cast<std::size_t>(u);
-      if (redone_[slot] > 1) {
-        throw InvariantViolation("wal: unit " + std::to_string(u) + " redone " +
-                                 std::to_string(redone_[slot]) +
-                                 " times (recovery redo exactly-once violated)");
-      }
-      if (acked_[slot] != 0 && durable_[slot] == 0 && dirty_[slot] == 0 && jopen_[slot] == 0) {
-        throw InvariantViolation("wal: acknowledged write to unit " + std::to_string(u) +
-                                 " is unrecoverable (not durable, not cached, not journaled)");
-      }
+    ++dispatches_;
+    check_state();
+    for (auto& [at, fire] : armed_) {
+      if (at == dispatches_) fire();
     }
   }
 
   void finish() override {
-    if (crashed_ || recovering_) {
-      throw InvariantViolation("wal: node still down when the run drained");
+    collector_.finish_spans();
+    check_state();
+    if (engine().live_tasks() != 0) fail("a task never finished");
+    if (const std::uint64_t lost = fs_.scrub().acked_bytes_lost; lost != 0) {
+      fail(std::to_string(lost) + " acked bytes lost at end of run");
     }
-    for (int u = 0; u < writes_; ++u) {
-      const auto slot = static_cast<std::size_t>(u);
-      if (acked_[slot] == 0) {
-        throw InvariantViolation("wal: unit " + std::to_string(u) + " never acknowledged");
-      }
-      if (durable_[slot] == 0) {
-        throw InvariantViolation("wal: acknowledged write to unit " + std::to_string(u) +
-                                 " lost (never reached the array)");
-      }
+    if (fs_.integrity_report().residual_corrupt_units != 0) {
+      fail("latent corruption survived repair and scrubbing");
     }
   }
 
-  std::uint64_t fingerprint() const override {
-    // Pending timers are protocol state here: the crash placement and the
-    // double-fault arm/delay picks are drawn long before they fire, so the
-    // fingerprint must cover the drawn values, the current tick, and every
-    // task's phase — or pruning would merge a run with an armed mid-recovery
-    // fault into one without and never explore the double-fault paths.
-    Fingerprint fp;
-    fp.mix(0x77616cULL);  // "wal"
-    fp.mix(journal_ ? 1u : 0u);
-    fp.mix(static_cast<std::uint64_t>(engine_->now()));
-    fp.mix(epoch_);
-    fp.mix(static_cast<std::uint64_t>((crashed_ ? 1 : 0) | (recovering_ ? 2 : 0)));
-    fp.mix(static_cast<std::uint64_t>(wb_unit_ + 1));
-    fp.mix(static_cast<std::uint64_t>(fl_phase_));
-    fp.mix(static_cast<std::uint64_t>(writers_done_));
-    fp.mix(static_cast<std::uint64_t>(crash_pick_));
-    fp.mix(static_cast<std::uint64_t>(crasher_done_));
-    fp.mix(static_cast<std::uint64_t>(dbl_arm_ | (dbl_delay_ << 2) | (dbl_fired_ << 5)));
-    for (int u = 0; u < writes_; ++u) {
-      const auto slot = static_cast<std::size_t>(u);
-      fp.mix(static_cast<std::uint64_t>(acked_[slot] | (dirty_[slot] << 1) |
-                                        (durable_[slot] << 2) | (jopen_[slot] << 3)));
-      fp.mix(static_cast<std::uint64_t>(wphase_[slot]));
-      fp.mix(static_cast<std::uint64_t>(redone_[slot]));
+ protected:
+  static constexpr std::uint64_t kUnit = 64 * 1024;
+
+  PfsRig(const char* name, std::uint64_t units, const pfs::PfsConfig& cfg)
+      : name_(name), machine_({.mesh_rows = 2, .mesh_cols = 2, .compute_nodes = 1, .io_nodes = 1}),
+        collector_(machine_.engine()), fs_(machine_, collector_, cfg),
+        file_(fs_.stage_file("/pfs/mc", units * kUnit)) {
+    collector_.enable_spans();
+  }
+
+  /// Fires `fn` right after the k-th dispatch from now (k = 0: never).
+  void after(std::uint32_t k, std::function<void()> fn) {
+    if (k != 0) armed_.emplace_back(dispatches_ + k, std::move(fn));
+  }
+
+  /// Torn crash of the I/O node, restarted `down` later.  A node that is
+  /// down and not recovering has nothing left to hit.
+  void crash(sim::Tick down) {
+    if (server().crashed() && !server().recovering()) return;
+    server().crash(/*torn=*/true);
+    engine().schedule_in(down, [this] { server().restart(); });
+  }
+
+  /// One 64 KB access per unit in [0, n), each under its own root op span:
+  /// buffered writes closed by a server flush, or unbuffered reads.
+  sim::Task<void> burst(std::uint64_t n, bool is_write) {
+    for (std::uint64_t u = 0; u < n; ++u) {
+      obs::SpanScope op(collector_.span_origin(), obs::StageKind::kOp, 0);
+      if (is_write) ++writes_;
+      co_await fs_.transfer(0, file_, u * kUnit, kUnit, is_write, is_write, op.ctx());
     }
-    return fp.value();
+    if (is_write) co_await fs_.flush_servers();
   }
 
  private:
-  /// The node dies: the write-behind cache is gone and any in-flight
-  /// write-back or redo is invalidated (epoch bump).
-  void crash() {
-    ++epoch_;
-    crashed_ = true;
-    for (auto& d : dirty_) d = 0;
+  struct UnitView {
+    std::uint64_t rots = 0, repairs = 0;
+    std::vector<std::uint64_t> detections;  // dispatch of each unrepaired detection
+  };
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw InvariantViolation(name_ + ": " + what);
   }
 
-  bool any_dirty() const {
-    for (const int d : dirty_) {
-      if (d != 0) return true;
-    }
-    return false;
-  }
-
-  int first_dirty() const {
-    for (int u = 0; u < writes_; ++u) {
-      if (dirty_[static_cast<std::size_t>(u)] != 0) return u;
-    }
-    return -1;
-  }
-
-  sim::Task<void> writer(int u) {
-    const auto slot = static_cast<std::size_t>(u);
-    co_await engine_->delay(static_cast<sim::Tick>(ctl_->choose(2)));
-    wphase_[slot] = 1;
-    while (crashed_) co_await engine_->delay(1);
-    if (journal_) {
-      // Force the intent record before acknowledging, as the server does.
-      wphase_[slot] = 2;
-      co_await engine_->delay(1);
-      while (crashed_) co_await engine_->delay(1);
-      jopen_[slot] = 1;
-    }
-    acked_[slot] = 1;
-    dirty_[slot] = 1;
-    wphase_[slot] = 3;
-    ++writers_done_;
-  }
-
-  sim::Task<void> flusher() {
-    while (writers_done_ < writes_ || any_dirty()) {
-      if (crashed_ || first_dirty() < 0) {
-        co_await engine_->delay(1);
-        continue;
+  void check_state() {
+    const std::vector<obs::SpanEvent>& spans = collector_.span_events();
+    for (; spans_seen_ < spans.size(); ++spans_seen_) {
+      const obs::SpanEvent& sp = spans[spans_seen_];
+      if (sp.stage != obs::StageKind::kService || sp.op_id == 0) continue;
+      if (const int n = ++served_[sp.op_id]; n > 1) {
+        fail("op_id " + std::to_string(sp.op_id) + " applied more than once (" +
+             std::to_string(n) + " service spans)");
       }
-      // Write-behind pause before picking up the oldest dirty unit.
-      fl_phase_ = 1;
-      co_await engine_->delay(1 + static_cast<sim::Tick>(ctl_->choose(2)));
-      fl_phase_ = 0;
-      if (crashed_) continue;
-      const int u = first_dirty();
-      if (u < 0) continue;
-      const std::uint64_t e = epoch_;
-      wb_unit_ = u;
-      co_await engine_->delay(1 + static_cast<sim::Tick>(ctl_->choose(2)));
-      wb_unit_ = -1;
-      if (epoch_ != e) continue;  // the crash invalidated the in-flight transfer
-      const auto slot = static_cast<std::size_t>(u);
-      durable_[slot] = 1;
-      dirty_[slot] = 0;
-      jopen_[slot] = 0;  // a *completed* write-back trims the record
     }
-  }
+    if (server().disk().degraded()) degraded_at_ = dispatches_;
+    const std::vector<pablo::IntegrityEvent>& integ = collector_.integrity_events();
+    for (; integ_seen_ < integ.size(); ++integ_seen_) on_integrity(integ[integ_seen_]);
 
-  sim::Task<void> crasher() {
-    crash_pick_ = 1 + static_cast<int>(ctl_->choose(4));
-    co_await engine_->delay(static_cast<sim::Tick>(crash_pick_ - 1));
-    crash();
-    if (journal_) {
-      recovering_ = true;
-      std::uint64_t e = epoch_;
-      int u = 0;
-      while (u < writes_) {
-        if (jopen_[static_cast<std::size_t>(u)] == 0) {
-          ++u;
-          continue;
-        }
-        co_await engine_->delay(1 + static_cast<sim::Tick>(ctl_->choose(2)));
-        if (epoch_ != e) {
-          // A second fault aborted the pass; redo again from the head.
-          // Records already retired stay retired, so nothing replays twice.
-          e = epoch_;
-          u = 0;
-          continue;
-        }
-        const auto slot = static_cast<std::size_t>(u);
-        durable_[slot] = 1;
-        ++redone_[slot];
-        jopen_[slot] = 0;
-        ++u;
+    const pfs::Journal& journal = server().journal();
+    const pfs::Journal::Counters& c = journal.counters();
+    if (c.appends > writes_) {
+      fail("an op applied more than once (" + std::to_string(c.appends) + " journal appends for " +
+           std::to_string(writes_) + " writes)");
+    }
+    // Records retire one at a time: a retirement count that grows by more
+    // than the open set shrank means a retired record was redone again.
+    const std::vector<pfs::Journal::Record> open = journal.unapplied();
+    std::set<std::uint64_t> lsns;
+    for (const pfs::Journal::Record& r : open) lsns.insert(r.lsn);
+    std::uint64_t vanished = 0;
+    for (const std::uint64_t lsn : open_lsns_) vanished += lsns.contains(lsn) ? 0 : 1;
+    const std::uint64_t retired = c.trimmed + c.redone + c.detected_lost;
+    if (retired - retired_ > vanished) fail("a journal record was redone twice");
+    open_lsns_ = std::move(lsns);
+    retired_ = retired;
+
+    if (server().write_back_in_flight()) return;
+    server().ledger().for_each([&](std::uint32_t file, std::uint64_t unit,
+                                   const pfs::UnitLedger::UnitStatus& s) {
+      if (s.durable_bytes >= s.acked_bytes || server().unit_dirty(file, unit)) return;
+      for (const pfs::Journal::Record& r : open) {
+        if (r.file == file && r.unit == unit) return;
       }
-      recovering_ = false;
-    }
-    crashed_ = false;  // restart: parked writers resume, the flusher drains
-    crasher_done_ = 1;
+      fail("acked write to unit " + std::to_string(unit) +
+           " is unrecoverable (not durable, cached or journaled)");
+    });
   }
 
-  sim::Task<void> double_fault() {
-    co_await engine_->delay(0);
-    if (ctl_->choose(2) == 0) {
-      dbl_arm_ = 1;  // this interleaving has no second fault
-      co_return;
+  void on_integrity(const pablo::IntegrityEvent& ev) {
+    using K = pablo::IntegrityKind;
+    UnitView& u = units_[ev.unit];
+    const std::string unit = "unit " + std::to_string(ev.unit);
+    switch (ev.kind) {
+      case K::kCorruptAck:
+        fail(std::to_string(ev.bytes) + " corrupt bytes of " + unit + " acknowledged");
+      case K::kBitRot: ++u.rots; break;
+      case K::kVerifyFail:
+      case K::kScrubDetect: u.detections.push_back(dispatches_); break;
+      case K::kRepairLost: if (!u.detections.empty()) u.detections.pop_back(); break;
+      case K::kReadRepair:
+      case K::kScrubRepair:
+        // A repair answers its unit's newest detection (the node's CPU mutex
+        // is held from detection through repair) and settles older deferred
+        // ones; the array must not be degraded at any dispatch in between.
+        if (u.detections.empty()) fail(unit + " repaired with no detection");
+        if (degraded_at_ >= u.detections.back()) {
+          const char* how = ev.kind == K::kReadRepair ? " read-repaired" : " scrub-repaired";
+          fail(unit + how + " while its array rebuilds");
+        }
+        u.detections.clear();
+        if (++u.repairs > u.rots) {
+          fail(unit + " regenerated " + std::to_string(u.repairs) + " times for " +
+               std::to_string(u.rots) + " rot(s)");
+        }
+        break;
+      default: break;
     }
-    dbl_arm_ = 2;
-    dbl_delay_ = 1 + static_cast<int>(ctl_->choose(3));
-    co_await engine_->delay(static_cast<sim::Tick>(dbl_delay_));
-    if (recovering_) crash();
-    dbl_fired_ = 1;
   }
 
-  int writes_;
-  bool journal_;
-  sim::Engine* engine_ = nullptr;
-  Controller* ctl_ = nullptr;
-  std::vector<int> acked_;
-  std::vector<int> dirty_;
-  std::vector<int> durable_;
-  std::vector<int> jopen_;
-  std::vector<int> redone_;
-  std::vector<int> wphase_;
-  std::uint64_t epoch_ = 0;
-  bool crashed_ = false;
-  bool recovering_ = false;
-  int wb_unit_ = -1;
-  int fl_phase_ = 0;
-  int writers_done_ = 0;
-  int crash_pick_ = 0;
-  int crasher_done_ = 0;
-  int dbl_arm_ = 0;
-  int dbl_delay_ = 0;
-  int dbl_fired_ = 0;
+  std::string name_;
+  hw::Machine machine_;
+  pablo::Collector collector_;
+  pfs::Pfs fs_;
+  pfs::FileState& file_;
+  std::uint64_t dispatches_ = 0, degraded_at_ = 0;  // latest dispatch with the array degraded
+  std::vector<std::pair<std::uint64_t, std::function<void()>>> armed_;
+  std::uint64_t writes_ = 0;
+  std::size_t spans_seen_ = 0, integ_seen_ = 0;
+  std::map<std::uint64_t, int> served_;  // op_id -> service spans
+  std::set<std::uint64_t> open_lsns_;
+  std::uint64_t retired_ = 0;
+  std::map<std::uint64_t, UnitView> units_;
+};
+
+// ----------------------------------------------------------- wal/retry -----
+// `writes` buffered writes; a torn crash lands after any of the first 12
+// dispatches and keeps the node down for `down`.  A second crash may land
+// where `second` says (see SecondCrash), counted in dispatches.
+class CrashScenario final : public PfsRig {
+ public:
+  CrashScenario(const char* name, std::uint64_t writes, const pfs::PfsConfig& cfg, sim::Tick down,
+                SecondCrash second)
+      : PfsRig(name, writes, cfg), burst_(writes), down_(down), second_(second) {}
+
+  void start(Controller& ctl) override {
+    after(1 + ctl.choose(12), [this] { crash(down_); });
+    constexpr std::uint32_t kSlots[] = {0, 4, 16};  // by SecondCrash
+    recrash_at_ = ctl.choose(kSlots[static_cast<int>(second_)] + 1);
+    engine().spawn(burst(burst_, /*is_write=*/true));
+  }
+
+  void check() override {
+    PfsRig::check();
+    const bool back = server().recovering() || (second_ == SecondCrash::kAfterRestart &&
+                                                server().crash_count() > 0 && !server().crashed());
+    if (recrash_at_ != 0 && back && ++steps_back_ == recrash_at_) crash(down_);
+  }
+
+ private:
+  std::uint64_t burst_;
+  sim::Tick down_;
+  SecondCrash second_;
+  std::uint32_t recrash_at_ = 0, steps_back_ = 0;
 };
 
 // ----------------------------------------------------------- integrity -----
-// Distilled verify-on-read + read-repair + background scrubber against one
-// bit-rot burst and an optional rebuild window.  The claim protocol is the
-// part under proof: the read path and the scrubber can both detect the same
-// latent error, with a detection-to-claim gap surfaced as a choose() point,
-// and only the party whose claim wins may regenerate — the loser waits for
-// the unit to come back clean.  Repair initiation additionally excludes the
-// array-rebuild window (the shared rebuild slots have no parity slack while
-// a spindle is reconstructing).
-class IntegrityScenario final : public Scenario {
+// Two units written and flushed, then read back unbuffered while the node
+// scrubs.  Bit-rot (one of two seeds: either unit) lands after any of the
+// first 8 dispatches of the read phase; a spindle failure may too.
+class RotScenario final : public PfsRig {
  public:
-  IntegrityScenario(int units, bool verify) : units_(units), verify_(verify) {}
+  explicit RotScenario(const pfs::PfsConfig& cfg) : PfsRig("integrity", 2, cfg) {}
 
-  void start(sim::Engine& engine, Controller& ctl) override {
-    engine_ = &engine;
-    ctl_ = &ctl;
-    const auto n = static_cast<std::size_t>(units_);
-    corrupt_.assign(n, 0);
-    claimed_.assign(n, 0);
-    repaired_.assign(n, 0);
-    rphase_.assign(n, 0);
-    engine.spawn(rotter());
-    engine.spawn(rebuild_window());
-    for (int u = 0; u < units_; ++u) engine.spawn(reader(u));
-    if (verify_) engine.spawn(scrubber());
-  }
-
-  void check() override {
-    if (acked_corrupt_ > 0) {
-      throw InvariantViolation("integrity: " + std::to_string(acked_corrupt_) +
-                               " corrupt byte-range(s) acknowledged to a client");
-    }
-    for (int u = 0; u < units_; ++u) {
-      if (repaired_[static_cast<std::size_t>(u)] > 1) {
-        throw InvariantViolation("integrity: unit " + std::to_string(u) + " repaired " +
-                                 std::to_string(repaired_[static_cast<std::size_t>(u)]) +
-                                 " times (regenerate exactly-once violated)");
-      }
-    }
-    if (claim_during_rebuild_ > 0) {
-      throw InvariantViolation(
-          "integrity: a repair was initiated while the array was rebuilding");
-    }
-  }
-
-  void finish() override {
-    if (readers_done_ != units_) {
-      throw InvariantViolation("integrity: a reader never finished");
-    }
-    if (rot_done_ == 0) throw InvariantViolation("integrity: the rot burst never fired");
-    if (verify_) {
-      for (int u = 0; u < units_; ++u) {
-        if (corrupt_[static_cast<std::size_t>(u)] != 0) {
-          throw InvariantViolation("integrity: latent corruption on unit " + std::to_string(u) +
-                                   " survived the run (scrubber missed it)");
-        }
-      }
-    }
-  }
-
-  std::uint64_t fingerprint() const override {
-    Fingerprint fp;
-    fp.mix(0x696e746567ULL);  // "integ"
-    fp.mix(verify_ ? 1u : 0u);
-    fp.mix(static_cast<std::uint64_t>(engine_->now()));
-    fp.mix(static_cast<std::uint64_t>(victim_ + 1));
-    fp.mix(static_cast<std::uint64_t>(rot_done_));
-    fp.mix(static_cast<std::uint64_t>(readers_done_));
-    fp.mix(static_cast<std::uint64_t>(acked_corrupt_));
-    fp.mix(static_cast<std::uint64_t>((rebuilding_ ? 1 : 0) | (rb_phase_ << 1)));
-    fp.mix(static_cast<std::uint64_t>(deferred_));
-    fp.mix(static_cast<std::uint64_t>(claim_during_rebuild_));
-    fp.mix(static_cast<std::uint64_t>(scrub_phase_));
-    for (int u = 0; u < units_; ++u) {
-      const auto slot = static_cast<std::size_t>(u);
-      fp.mix(static_cast<std::uint64_t>(corrupt_[slot] | (claimed_[slot] << 1) |
-                                        (repaired_[slot] << 2)));
-      fp.mix(static_cast<std::uint64_t>(rphase_[slot]));
-    }
-    return fp.value();
+  void start(Controller& ctl) override {
+    seed_ = 1 + ctl.choose(2);
+    rot_ = 1 + ctl.choose(8);
+    fail_ = ctl.choose(9);
+    engine().spawn(run());
   }
 
  private:
-  /// Regenerate `u` from parity, or wait out a regeneration someone else
-  /// already claimed.  Callers check `corrupt_[u]` first.
-  sim::Task<void> repair(int u) {
-    const auto slot = static_cast<std::size_t>(u);
-    // Detection-to-claim gap: another detector can slip in here.
-    co_await engine_->delay(static_cast<sim::Tick>(ctl_->choose(2)));
-    while (true) {
-      if (claimed_[slot] != 0) {
-        // Lost the claim race: the winner's regeneration cleans the unit.
-        while (corrupt_[slot] != 0) co_await engine_->delay(1);
-        co_return;
-      }
-      if (!rebuilding_) break;
-      co_await engine_->delay(1);  // the rebuild holds the repair slots
-    }
-    // Re-verify after the gap: a racing repair may have already cleaned the
-    // unit, and regenerating a clean unit would double-repair it.
-    if (corrupt_[slot] == 0) co_return;
-    if (rebuilding_) ++claim_during_rebuild_;  // the invariant check() rejects
-    claimed_[slot] = 1;
-    co_await engine_->delay(1);  // parity read + XOR scan + unit rewrite
-    corrupt_[slot] = 0;
-    ++repaired_[slot];
-    claimed_[slot] = 0;
+  sim::Task<void> run() {
+    co_await burst(2, /*is_write=*/true);
+    after(rot_, [this] { server().inject_bit_rot(seed_, /*units=*/1, /*journal=*/false); });
+    after(fail_, [this] { server().disk().fail_spindle(256 * 1024); });
+    co_await burst(2, /*is_write=*/false);
   }
 
-  sim::Task<void> rotter() {
-    victim_ = static_cast<int>(ctl_->choose(static_cast<std::size_t>(units_)));
-    co_await engine_->delay(static_cast<sim::Tick>(ctl_->choose(3)));
-    corrupt_[static_cast<std::size_t>(victim_)] = 1;
-    rot_done_ = 1;
-  }
-
-  sim::Task<void> reader(int u) {
-    const auto slot = static_cast<std::size_t>(u);
-    co_await engine_->delay(static_cast<sim::Tick>(ctl_->choose(3)));
-    rphase_[slot] = 1;
-    if (verify_) {
-      // Verify-on-read: never acknowledge until the unit checks clean (the
-      // rebuild-slot wait lives inside repair(), as it does in the server).
-      while (corrupt_[slot] != 0) co_await repair(u);
-    } else if (corrupt_[slot] != 0) {
-      ++acked_corrupt_;  // served straight from the array, no checksum
-    }
-    rphase_[slot] = 2;
-    ++readers_done_;
-  }
-
-  sim::Task<void> scrubber() {
-    while (rot_done_ == 0 || readers_done_ < units_ || any_corrupt()) {
-      scrub_phase_ = 1;
-      for (int u = 0; u < units_; ++u) {
-        const auto slot = static_cast<std::size_t>(u);
-        if (corrupt_[slot] == 0) continue;
-        if (rebuilding_) {
-          // Scrub/rebuild exclusion: no parity slack — defer to a later
-          // sweep instead of fighting the reconstruction.
-          ++deferred_;
-          continue;
-        }
-        if (claimed_[slot] != 0) continue;  // a read-repair is in flight
-        co_await repair(u);
-      }
-      scrub_phase_ = 0;
-      co_await engine_->delay(1);
-    }
-  }
-
-  sim::Task<void> rebuild_window() {
-    if (ctl_->choose(2) == 0) {
-      rb_phase_ = 3;  // this interleaving keeps the array healthy
-      co_return;
-    }
-    rb_phase_ = 1;
-    co_await engine_->delay(static_cast<sim::Tick>(ctl_->choose(2)));
-    rebuilding_ = true;
-    rb_phase_ = 2;
-    co_await engine_->delay(2);
-    rebuilding_ = false;
-    rb_phase_ = 3;
-  }
-
-  bool any_corrupt() const {
-    for (const int c : corrupt_) {
-      if (c != 0) return true;
-    }
-    return false;
-  }
-
-  int units_;
-  bool verify_;
-  sim::Engine* engine_ = nullptr;
-  Controller* ctl_ = nullptr;
-  std::vector<int> corrupt_;
-  std::vector<int> claimed_;
-  std::vector<int> repaired_;
-  std::vector<int> rphase_;
-  int victim_ = -1;
-  int rot_done_ = 0;
-  int readers_done_ = 0;
-  int acked_corrupt_ = 0;
-  bool rebuilding_ = false;
-  int rb_phase_ = 0;
-  int deferred_ = 0;
-  int claim_during_rebuild_ = 0;
-  int scrub_phase_ = 0;
+  std::uint64_t seed_ = 0;
+  std::uint32_t rot_ = 0, fail_ = 0;
 };
 
 }  // namespace
 
-ScenarioFactory make_token_scenario(int tasks, int rounds) {
-  return [tasks, rounds]() -> std::unique_ptr<Scenario> {
-    return std::make_unique<TokenScenario>(tasks, rounds);
-  };
-}
-
 ScenarioFactory make_token_meta_scenario(int clients, int ops_per_client) {
-  return [clients, ops_per_client]() -> std::unique_ptr<Scenario> {
-    return std::make_unique<TokenMetaScenario>(clients, ops_per_client);
-  };
-}
-
-ScenarioFactory make_retry_scenario(int ops, bool replay_cache) {
-  return [ops, replay_cache]() -> std::unique_ptr<Scenario> {
-    return std::make_unique<RetryScenario>(ops, replay_cache);
-  };
+  return [=] { return std::make_unique<TokenMetaScenario>(clients, ops_per_client); };
 }
 
 ScenarioFactory make_breaker_scenario(int rounds) {
-  return [rounds]() -> std::unique_ptr<Scenario> {
-    return std::make_unique<BreakerScenario>(rounds);
-  };
+  return [=] { return std::make_unique<BreakerScenario>(rounds); };
 }
 
 ScenarioFactory make_qos_scenario(int nodes, int ops_per_node) {
-  return [nodes, ops_per_node]() -> std::unique_ptr<Scenario> {
-    return std::make_unique<QosScenario>(nodes, ops_per_node);
+  return [=] { return std::make_unique<QosScenario>(nodes, ops_per_node); };
+}
+
+ScenarioFactory make_retry_scenario(bool replay_tracking, SecondCrash second) {
+  // A 5 ms op deadline against a 10 ms outage: timed-out attempts are
+  // re-driven across it and wake together at restart.
+  pfs::PfsConfig cfg;
+  cfg.server.journal = pfs::JournalMode::kFull;
+  cfg.retry.enabled = true;
+  cfg.retry.op_deadline = sim::milliseconds(5);
+  const std::uint64_t writes = second == SecondCrash::kNone ? 2 : 1;
+  return [=] {
+    auto d = std::make_unique<CrashScenario>("retry", writes, cfg, sim::milliseconds(10), second);
+    d->server().set_replay_tracking(replay_tracking);
+    return d;
   };
 }
 
-ScenarioFactory make_wal_scenario(int writes, bool journal) {
-  return [writes, journal]() -> std::unique_ptr<Scenario> {
-    return std::make_unique<WalScenario>(writes, journal);
+ScenarioFactory make_wal_scenario(bool journal) {
+  // dirty_limit = 1: each write flushes its predecessor inline.
+  pfs::PfsConfig cfg;
+  cfg.server.dirty_limit = 1;
+  cfg.server.journal = journal ? pfs::JournalMode::kFull : pfs::JournalMode::kOff;
+  return [=] {
+    return std::make_unique<CrashScenario>("wal", 3, cfg, sim::milliseconds(5),
+                                           SecondCrash::kInRecovery);
   };
 }
 
-ScenarioFactory make_integrity_scenario(int units, bool verify) {
-  return [units, verify]() -> std::unique_ptr<Scenario> {
-    return std::make_unique<IntegrityScenario>(units, verify);
-  };
+ScenarioFactory make_integrity_scenario(bool integrity) {
+  pfs::PfsConfig cfg;
+  pfs::IntegrityConfig& ic = cfg.server.integrity;
+  ic.mode = integrity ? pfs::IntegrityMode::kRepair : pfs::IntegrityMode::kOff;
+  ic.scrub_interval = sim::milliseconds(100);
+  ic.scrub_sweeps = 6;  // the last sweeps trail the spindle rebuild
+  ic.scrub_units_per_sweep = 2;
+  return [=] { return std::make_unique<RotScenario>(cfg); };
 }
 
 const std::vector<NamedScenario>& scenario_registry() {
   static const std::vector<NamedScenario> kScenarios = {
-      {"token", "3 workers x 2 rounds over one FIFO token mutex (uniqueness proof)", true,
-       make_token_scenario(3, 2)},
-      {"token.meta",
-       "2 clients x 2 grant ops against the real MetadataServer (grant-held uniqueness)", true,
+      {"token.meta", "2 clients x 2 grant ops on the real MetadataServer (one holder)", true,
        make_token_meta_scenario(2, 2)},
-      {"retry.safe", "deadline/retry RPC with the server replay cache (exactly-once proof)", true,
-       make_retry_scenario(1, true)},
-      {"retry.unsafe", "deadline/retry RPC without the replay cache (duplicate-effect bug)",
-       false, make_retry_scenario(1, false)},
+      {"retry.safe", "Pfs: 2 writes, 5 ms deadline, one crash mid-burst (each op applied once)",
+       true, make_retry_scenario(true, SecondCrash::kNone)},
+      {"retry.unsafe", "the same with replay tracking off (re-driven op applied again)", false,
+       make_retry_scenario(false, SecondCrash::kNone)},
+      {"retry.recovery", "Pfs: 1 write, crash mid-burst + crash mid-recovery (applied once)",
+       true, make_retry_scenario(true, SecondCrash::kInRecovery)},
+      {"retry.recrash", "1 write, crash after the restart (completed op applied again)", false,
+       make_retry_scenario(true, SecondCrash::kAfterRestart), "applied more than once", 2000},
       {"breaker", "2 outcome streams against a window-2 circuit breaker (FSM legality)", true,
        make_breaker_scenario(2)},
       {"qos", "2 nodes x 2 ops through a 1-slot bounded admission queue (queue bounds)", true,
        make_qos_scenario(2, 2)},
-      {"wal.full",
-       "2 buffered writes vs crash + mid-recovery fault with a write-ahead journal "
-       "(no acked write lost; redo exactly-once)",
-       true, make_wal_scenario(2, true)},
-      {"wal.off", "the same crash schedule without the journal (write-behind loss bug)", false,
-       make_wal_scenario(2, false)},
-      {"integrity.repair",
-       "2 units x bit-rot vs verify-on-read + scrubber + rebuild window "
-       "(no corrupt ack; regenerate exactly-once; rebuild exclusion)",
-       true, make_integrity_scenario(2, true)},
-      {"integrity.off", "the same rot schedule with verification off (silent corrupt-ack bug)",
-       false, make_integrity_scenario(2, false)},
+      {"wal.full", "Pfs: 3 writes, torn crash + crash mid-recovery (no acked loss; redo once)",
+       true, make_wal_scenario(true)},
+      {"wal.off", "the same with the journal off (write-behind loss)", false,
+       make_wal_scenario(false)},
+      {"integrity.repair", "Pfs: bit-rot + spindle failure vs verify, repair and scrub", false,
+       make_integrity_scenario(true), "read-repaired while its array rebuilds"},
+      {"integrity.off", "the same with integrity off (silent corrupt ack)", false,
+       make_integrity_scenario(false)},
   };
   return kScenarios;
 }

@@ -266,13 +266,13 @@ TraceFile from_binary_sddf(const std::string& container) {
       const std::uint64_t raw_len = varint::get(container, fpos);
       const std::uint64_t enc_len = varint::get(container, fpos);
       if (enc_len == 0) {
-        if (fpos + raw_len > container.size()) {
+        if (raw_len > container.size() - fpos) {
           throw std::runtime_error("binary SDDF: truncated stored frame");
         }
         data.append(container, fpos, raw_len);
         fpos += raw_len;
       } else {
-        if (fpos + enc_len > container.size()) {
+        if (enc_len > container.size() - fpos) {
           throw std::runtime_error("binary SDDF: truncated compressed frame");
         }
         blockcomp::decompress(std::string_view(container).substr(fpos, enc_len), raw_len, data);

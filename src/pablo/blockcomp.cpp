@@ -1,5 +1,6 @@
 #include "pablo/blockcomp.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +12,9 @@ namespace sio::pablo::blockcomp {
 namespace {
 
 constexpr std::size_t kMinMatch = 4;
+/// Output bytes one encoded byte may justify when reserving up front; the
+/// declared raw length of a corrupt frame can be anything.
+constexpr std::size_t kMaxReserveRatio = 255;
 constexpr int kHashBits = 13;
 constexpr std::size_t kHashSize = 1u << kHashBits;
 
@@ -35,6 +39,18 @@ void put_sequence(std::string& out, std::string_view raw, std::size_t lit_begin,
   out.append(raw.substr(lit_begin, lit_len));
   varint::put(out, distance);  // 0 = no match (final literal flush)
   if (distance != 0 && match_nib == 15) varint::put(out, match_extra - 15);
+}
+
+/// Reads one run length: the token nibble `nib` (15 = a varint extension
+/// follows) plus `bias`.  Throws unless the run fits in the `left` bytes the
+/// frame still owes, checked before any sum can overflow.
+std::size_t run_length(const std::string& data, std::size_t& pos, std::size_t nib,
+                       std::size_t bias, std::size_t left) {
+  const std::uint64_t ext = nib == 15 ? varint::get(data, pos) : 0;
+  if (ext > left || nib + bias > left - ext) {
+    throw std::runtime_error("blockcomp: run exceeds frame length");
+  }
+  return nib + bias + static_cast<std::size_t>(ext);
 }
 
 }  // namespace
@@ -73,21 +89,20 @@ void decompress(std::string_view enc, std::size_t raw_len, std::string& out) {
   const std::string data(enc);  // varint::get works on std::string
   std::size_t pos = 0;
   const std::size_t out_base = out.size();
-  out.reserve(out_base + raw_len);
+  out.reserve(out_base + std::min(raw_len, data.size() * kMaxReserveRatio));
   while (true) {
     if (pos >= data.size()) throw std::runtime_error("blockcomp: truncated frame");
     const auto token = static_cast<std::uint8_t>(data[pos++]);
-    std::size_t lit_len = token >> 4;
-    if (lit_len == 15) lit_len += varint::get(data, pos);
-    if (pos + lit_len > data.size()) throw std::runtime_error("blockcomp: truncated literals");
+    const std::size_t lit_len =
+        run_length(data, pos, token >> 4, 0, raw_len - (out.size() - out_base));
+    if (lit_len > data.size() - pos) throw std::runtime_error("blockcomp: truncated literals");
     out.append(data, pos, lit_len);
     pos += lit_len;
     const std::uint64_t distance = varint::get(data, pos);
     if (distance == 0) break;  // final sequence
-    std::size_t match_len = (token & 0x0f);
-    if (match_len == 15) match_len += varint::get(data, pos);
-    match_len += kMinMatch;
     const std::size_t produced = out.size() - out_base;
+    const std::size_t match_len =
+        run_length(data, pos, token & 0x0f, kMinMatch, raw_len - produced);
     if (distance > produced) throw std::runtime_error("blockcomp: match distance out of range");
     // Byte-by-byte on purpose: overlapping matches (distance < length)
     // replicate the just-written bytes, RLE-style.

@@ -1,9 +1,13 @@
 #include "pablo/sddf.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 
 namespace sio::pablo {
 
@@ -16,6 +20,21 @@ constexpr const char* kLossFields = "#loss-fields at_ns op_id target file offset
 constexpr const char* kIntegrityFields = "#integrity-fields at_ns kind target file unit bytes";
 constexpr const char* kSpanFields =
     "#span-fields start_ns duration_ns op_id span parent stage node target bytes flags info";
+
+/// Parses a record's file-id field: "-" (no file) or the decimal id of an
+/// entry already in the file table.  Non-digits, overflow and ids at or past
+/// the end of the table all throw std::runtime_error naming `record`.
+FileId parse_file_field(const std::string& field, std::size_t table_size, const char* record) {
+  if (field == "-") return kNoFile;
+  std::uint64_t id = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, id);
+  if (ec != std::errc{} || ptr != end || id >= table_size) {
+    throw std::runtime_error(std::string("SDDF: ") + record + " references unknown file id '" +
+                             field + "'");
+  }
+  return static_cast<FileId>(id);
+}
 }  // namespace
 
 IoOp parse_io_op(const std::string& name) {
@@ -221,10 +240,7 @@ TraceFile read_sddf(std::istream& in) {
         throw std::runtime_error("SDDF: bad #integrity line: " + line);
       }
       g.kind = parse_integrity_kind(kind_name);
-      g.file = file_field == "-" ? kNoFile : static_cast<FileId>(std::stoul(file_field));
-      if (g.file != kNoFile && g.file >= tf.file_names.size()) {
-        throw std::runtime_error("SDDF: #integrity references unknown file id");
-      }
+      g.file = parse_file_field(file_field, tf.file_names.size(), "#integrity");
       tf.integrity.push_back(g);  // siolint:allow(trace-vector-growth) batch decode materializes
       continue;
     }
@@ -235,10 +251,7 @@ TraceFile read_sddf(std::istream& in) {
       if (!(ls >> l.at >> l.op_id >> l.target >> file_field >> l.offset >> l.bytes >> l.torn)) {
         throw std::runtime_error("SDDF: bad #loss line: " + line);
       }
-      l.file = file_field == "-" ? kNoFile : static_cast<FileId>(std::stoul(file_field));
-      if (l.file != kNoFile && l.file >= tf.file_names.size()) {
-        throw std::runtime_error("SDDF: #loss references unknown file id");
-      }
+      l.file = parse_file_field(file_field, tf.file_names.size(), "#loss");
       tf.losses.push_back(l);  // siolint:allow(trace-vector-growth) batch decode materializes
       continue;
     }
@@ -264,11 +277,7 @@ TraceFile read_sddf(std::istream& in) {
           ev.bytes)) {
       throw std::runtime_error("SDDF: truncated record: " + line);
     }
-    ev.file = file_field == "-" ? kNoFile
-                                : static_cast<FileId>(std::stoul(file_field));
-    if (ev.file != kNoFile && ev.file >= tf.file_names.size()) {
-      throw std::runtime_error("SDDF: record references unknown file id");
-    }
+    ev.file = parse_file_field(file_field, tf.file_names.size(), "record");
     ev.op = parse_io_op(op_name);
     tf.events.push_back(ev);  // siolint:allow(trace-vector-growth) batch decode materializes
   }

@@ -1,14 +1,16 @@
 // Unit tests for the schedule-exploration core (src/mc): controller branch
 // recording, exhaustive DFS, replay determinism, divergence handling,
 // convergence pruning, random sampling, and ddmin minimization.  The tests
-// use tiny synthetic scenarios with exactly known choice trees, plus one
-// registry scenario as an integration cross-check; the full acceptance
-// sweep over every bundled configuration lives in tools/simmc (`simmc
-// ctest`).
+// use tiny synthetic scenarios with exactly known choice trees, plus the
+// registry scenarios as integration cross-checks (the retry, wal and
+// integrity ones drive the shipped Pfs); the full acceptance sweep over
+// every bundled configuration lives in tools/simmc (`simmc ctest`).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mc/explorer.hpp"
@@ -25,9 +27,11 @@ class OrderScenario : public Scenario {
  public:
   explicit OrderScenario(bool b_first_is_bug) : bug_(b_first_is_bug) {}
 
-  void start(sim::Engine& engine, Controller&) override {
-    engine.spawn(runner(0));
-    engine.spawn(runner(1));
+  sim::Engine& engine() override { return engine_; }
+
+  void start(Controller&) override {
+    engine_.spawn(runner(0));
+    engine_.spawn(runner(1));
   }
 
   void check() override {
@@ -46,6 +50,7 @@ class OrderScenario : public Scenario {
     co_return;
   }
 
+  sim::Engine engine_;
   bool bug_;
   std::vector<int> log_;
 };
@@ -54,9 +59,9 @@ class OrderScenario : public Scenario {
 // Exercises scenario-surfaced decision points without any scheduler branch.
 class ChooseScenario : public Scenario {
  public:
-  void start(sim::Engine& engine, Controller& ctl) override {
-    engine.spawn(runner(engine, ctl));
-  }
+  sim::Engine& engine() override { return engine_; }
+
+  void start(Controller& ctl) override { engine_.spawn(runner(engine_, ctl)); }
 
   void check() override {
     if (bad_) throw InvariantViolation("forbidden choice reached");
@@ -69,6 +74,7 @@ class ChooseScenario : public Scenario {
     co_await engine.delay(1);
   }
 
+  sim::Engine engine_;
   bool bad_ = false;
 };
 
@@ -177,22 +183,23 @@ TEST(Explorer, SamplingIsSeedDeterministic) {
 }
 
 TEST(Explorer, PruningPreservesExhaustionAndVerdictOnTokenScenario) {
-  // Registry cross-check: the token proof config must exhaust cleanly with
-  // pruning both off and on, and pruning must never *add* runs.
+  // Registry cross-check: the token.meta proof config (the real metadata
+  // server's grant protocol) must exhaust cleanly with pruning both off and
+  // on, and pruning must never *add* runs.
   ExploreOptions full;
   full.prune = false;
-  Explorer unpruned(make_token_scenario(2, 1), full);
+  Explorer unpruned(make_token_meta_scenario(2, 2), full);
   const ExploreResult r_full = unpruned.explore();
   EXPECT_TRUE(r_full.exhausted);
   EXPECT_EQ(r_full.violations, 0u);
 
   ExploreOptions pruned_opt;
   pruned_opt.prune = true;
-  Explorer pruned(make_token_scenario(2, 1), pruned_opt);
+  Explorer pruned(make_token_meta_scenario(2, 2), pruned_opt);
   const ExploreResult r_pruned = pruned.explore();
   EXPECT_TRUE(r_pruned.exhausted);
   EXPECT_EQ(r_pruned.violations, 0u);
-  EXPECT_LE(r_pruned.runs, r_full.runs);
+  EXPECT_LT(r_pruned.runs, r_full.runs);
   EXPECT_GT(r_pruned.runs, 1u);
 }
 
@@ -207,67 +214,119 @@ TEST(Explorer, StopAtFirstViolationHaltsEarly) {
 }
 
 TEST(Registry, BundledScenariosResolveByName) {
-  EXPECT_GE(scenario_registry().size(), 8u);
-  const NamedScenario* token = find_scenario("token");
+  EXPECT_GE(scenario_registry().size(), 10u);
+  const NamedScenario* token = find_scenario("token.meta");
   ASSERT_NE(token, nullptr);
   EXPECT_TRUE(token->expect_clean);
+  EXPECT_EQ(find_scenario("token"), nullptr);  // the distilled mutex copy is gone
   const NamedScenario* unsafe = find_scenario("retry.unsafe");
   ASSERT_NE(unsafe, nullptr);
   EXPECT_FALSE(unsafe->expect_clean);
+  EXPECT_TRUE(unsafe->known_defect.empty());
   const NamedScenario* wal_full = find_scenario("wal.full");
   ASSERT_NE(wal_full, nullptr);
   EXPECT_TRUE(wal_full->expect_clean);
   const NamedScenario* wal_off = find_scenario("wal.off");
   ASSERT_NE(wal_off, nullptr);
   EXPECT_FALSE(wal_off->expect_clean);
+  const NamedScenario* repair = find_scenario("integrity.repair");
+  ASSERT_NE(repair, nullptr);
+  EXPECT_FALSE(repair->expect_clean);
+  EXPECT_FALSE(repair->known_defect.empty());
   EXPECT_EQ(find_scenario("no-such-config"), nullptr);
 }
 
-TEST(Registry, WalJournalProofExhaustsAndUnjournaledLoses) {
-  // The journaling contract as a bounded proof: with the write-ahead journal
-  // every interleaving — including crash placement mid write-back and a
-  // second fault mid recovery — keeps acknowledged writes recoverable and
-  // redoes each record at most once.  The same protocol without the journal
-  // must yield a write-behind loss counterexample that minimizes and
-  // replays byte-identically.
-  Explorer full(make_wal_scenario(2, /*journal=*/true));
-  const ExploreResult r_full = full.explore();
-  EXPECT_TRUE(r_full.exhausted);
-  EXPECT_EQ(r_full.violations, 0u);
+void expect_proof(const ScenarioFactory& cfg) {
+  Explorer proof(cfg);
+  const ExploreResult r = proof.explore();
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_EQ(r.violations, 0u);
+  for (const auto& [msg, runs] : r.diagnostics) ADD_FAILURE() << runs << " runs: " << msg;
+}
 
-  Explorer off(make_wal_scenario(2, /*journal=*/false));
-  const ExploreResult r_off = off.explore();
-  EXPECT_TRUE(r_off.exhausted);
-  ASSERT_GT(r_off.violations, 0u);
-  const Schedule min = off.minimize(r_off.failures.front().schedule);
+// Exploration finds a violation whose minimized schedule replays
+// byte-identically with `what` in its diagnostic.
+void expect_minimized_counterexample(Explorer& ex, const ExploreResult& r,
+                                     const std::string& what) {
+  ASSERT_GT(r.violations, 0u);
+  ASSERT_FALSE(r.failures.empty());
+  const Schedule min = ex.minimize(r.failures.front().schedule);
+  EXPECT_LE(min.size(), r.failures.front().schedule.size());
   RunRecord rec;
-  EXPECT_TRUE(off.replays_identically(min, &rec));
+  EXPECT_TRUE(ex.replays_identically(min, &rec));
   EXPECT_TRUE(rec.violation);
-  EXPECT_NE(rec.message.find("unrecoverable"), std::string::npos);
+  EXPECT_NE(rec.message.find(what), std::string::npos) << rec.message;
+}
+
+// A bug config, differing from its proof config in one shipped switch.
+void expect_counterexample(const ScenarioFactory& bug_cfg, const std::string& what) {
+  Explorer bug(bug_cfg);
+  const ExploreResult r = bug.explore();
+  EXPECT_TRUE(r.exhausted);
+  expect_minimized_counterexample(bug, r, what);
+}
+
+// A known-defect config still finds its defect, and nothing else: every
+// violating run's diagnostic names the known defect.
+void expect_only_known_defect(const std::string& name) {
+  const NamedScenario* sc = find_scenario(name);
+  ASSERT_NE(sc, nullptr);
+  ASSERT_FALSE(sc->known_defect.empty());
+  Explorer ex(sc->factory);
+  const ExploreResult r =
+      sc->sample_runs == 0 ? ex.explore() : ex.sample(sc->sample_runs, /*seed=*/1);
+  EXPECT_TRUE(r.exhausted || sc->sample_runs != 0);
+  expect_minimized_counterexample(ex, r, sc->known_defect);
+  std::uint64_t counted = 0;
+  for (const auto& [msg, runs] : r.diagnostics) {
+    counted += runs;
+    EXPECT_NE(msg.find(sc->known_defect), std::string::npos) << runs << " runs: " << msg;
+  }
+  EXPECT_EQ(counted, r.violations);
+}
+
+TEST(Registry, WalJournalProofExhaustsAndUnjournaledLoses) {
+  // The journaling contract on the shipped IoServer: with JournalMode::kFull
+  // every placement of a torn crash across three buffered writes — and of a
+  // second crash mid recovery — keeps acknowledged writes recoverable and
+  // redoes each record at most once.  JournalMode::kOff must yield the
+  // write-behind loss counterexample.
+  expect_proof(make_wal_scenario(/*journal=*/true));
+  expect_counterexample(make_wal_scenario(/*journal=*/false), "unrecoverable");
 }
 
 TEST(Registry, IntegrityProofExhaustsAndUnverifiedAcksCorrupt) {
-  // The end-to-end integrity contract as a bounded proof: with verify-on-read
-  // and the scrubber, every interleaving of rot placement, read timing, the
-  // detection-to-claim gap, and the rebuild window ends with no corrupt byte
-  // acknowledged, each unit regenerated at most once, and no latent error
-  // surviving.  The same schedule with verification off must yield a silent
-  // corrupt-acknowledge counterexample that minimizes and replays
-  // byte-identically.
-  Explorer proof(make_integrity_scenario(2, /*verify=*/true));
-  const ExploreResult r_proof = proof.explore();
-  EXPECT_TRUE(r_proof.exhausted);
-  EXPECT_EQ(r_proof.violations, 0u);
+  // The end-to-end integrity contract on the shipped IoServer: with
+  // IntegrityMode::kRepair every placement of the bit-rot burst and of a
+  // spindle failure across the read phase ends with no corrupt byte
+  // acknowledged, each unit regenerated at most once, and nothing latent
+  // after scrubbing.  The only violation is the open defect that a
+  // read-repair can start on an array whose spindle failed after the
+  // detection.  IntegrityMode::kOff must yield the silent corrupt-acknowledge
+  // counterexample.
+  expect_only_known_defect("integrity.repair");
+  expect_counterexample(make_integrity_scenario(/*integrity=*/false), "acknowledged");
+}
 
-  Explorer off(make_integrity_scenario(2, /*verify=*/false));
-  const ExploreResult r_off = off.explore();
-  EXPECT_TRUE(r_off.exhausted);
-  ASSERT_GT(r_off.violations, 0u);
-  const Schedule min = off.minimize(r_off.failures.front().schedule);
-  RunRecord rec;
-  EXPECT_TRUE(off.replays_identically(min, &rec));
-  EXPECT_TRUE(rec.violation);
-  EXPECT_NE(rec.message.find("acknowledged"), std::string::npos);
+TEST(Registry, RetryProofExhaustsAndUntrackedReplaysApplyTwice) {
+  // Idempotent replay on the shipped Pfs: with replay tracking every
+  // placement of one crash under a 5 ms op deadline applies each op once,
+  // however the re-driven attempts interleave at restart.  With
+  // IoServer::set_replay_tracking(false) a re-driven attempt is applied
+  // again.
+  expect_proof(make_retry_scenario(/*replay_tracking=*/true, SecondCrash::kNone));
+  expect_counterexample(make_retry_scenario(/*replay_tracking=*/false, SecondCrash::kNone),
+                        "applied more than once");
+}
+
+TEST(Registry, RetrySecondCrashInRecoveryIsSafeAfterRestartReapplies) {
+  // One write with replay tracking on: a second crash inside the recovery
+  // pass still applies the op once, but a second crash after the restart
+  // wipes the completed-id set and a late retry applies the op again — an
+  // open defect of the shipped server, and the only violation retry.recrash
+  // may show.
+  expect_proof(make_retry_scenario(/*replay_tracking=*/true, SecondCrash::kInRecovery));
+  expect_only_known_defect("retry.recrash");
 }
 
 }  // namespace

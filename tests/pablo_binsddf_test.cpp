@@ -14,6 +14,7 @@
 #include "pablo/binsddf.hpp"
 #include "pablo/collector.hpp"
 #include "pablo/sddf.hpp"
+#include "pablo/varint.hpp"
 #include "sim/engine.hpp"
 
 namespace sio::pablo {
@@ -253,6 +254,39 @@ TEST(BinSddf, RejectsUnknownTag) {
   data += '\x00';
   data += '\x07';
   EXPECT_THROW(from_binary_sddf(data), std::runtime_error);
+}
+
+TEST(BinSddf, RejectsCompressedFramesThatOverstateTheirLength) {
+  // A frame's declared raw length and its run lengths are untrusted: each
+  // container below must fail with the documented std::runtime_error, never
+  // by trying to allocate what the header or a run claims.
+  const auto frame = [](std::uint64_t raw_len, const std::string& enc) {
+    std::string c(kBinarySddfMagic);
+    varint::put(c, raw_len);
+    varint::put(c, enc.size());
+    return c + enc;
+  };
+  // A: a 2-byte frame claiming a terabyte of output.
+  EXPECT_THROW(from_binary_sddf(frame(std::uint64_t{1} << 40, std::string(2, '\0'))),
+               std::runtime_error);
+  // B: one literal, then a distance-1 match extended by 2^34 bytes into a
+  // 16-byte frame.
+  std::string run("\x1f" "A" "\x01");
+  varint::put(run, std::uint64_t{1} << 34);
+  EXPECT_THROW(from_binary_sddf(frame(16, run)), std::runtime_error);
+  // A literal-count extension that wraps the 64-bit sum.
+  std::string wrap("\xf0");
+  varint::put(wrap, ~std::uint64_t{0});
+  EXPECT_THROW(from_binary_sddf(frame(16, wrap)), std::runtime_error);
+  // A stored or compressed frame whose length wraps the container offset.
+  std::string stored(kBinarySddfMagic);
+  varint::put(stored, ~std::uint64_t{0});
+  varint::put(stored, 0);
+  EXPECT_THROW(from_binary_sddf(stored), std::runtime_error);
+  std::string compressed(kBinarySddfMagic);
+  varint::put(compressed, 16);
+  varint::put(compressed, ~std::uint64_t{0});
+  EXPECT_THROW(from_binary_sddf(compressed), std::runtime_error);
 }
 
 TEST(BinSddf, RejectsEventReferencingUnknownFile) {

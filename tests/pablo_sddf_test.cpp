@@ -196,6 +196,28 @@ TEST(Sddf, RejectsUnknownFileReference) {
   EXPECT_THROW(from_sddf_string(text), std::runtime_error);
 }
 
+TEST(Sddf, RejectsMalformedFileIdFields) {
+  // One file in the table; each bad id must fail as the documented
+  // std::runtime_error on every record kind that carries a file field —
+  // not wrap to file 0, alias kNoFile, or escape as std::invalid_argument /
+  // std::out_of_range.
+  const std::string head =
+      "#SDDF-IO 1\n#fields start_ns duration_ns node file op offset bytes\n#file 0 a\n";
+  for (const std::string id : {"4294967296", "4294967295", "abc", "1234567890123456789012345"}) {
+    for (const std::string& line : {"#integrity 5 bit-rot 0 " + id + " 0 1024\n",
+                                    "#loss 5 0 0 " + id + " 0 1024 0\n",
+                                    "1 2 3 " + id + " read 0 0\n"}) {
+      EXPECT_THROW(from_sddf_string(head + line), std::runtime_error) << line;
+    }
+  }
+  // The same lines with a valid id still parse.
+  const auto tf = from_sddf_string(head + "#integrity 5 bit-rot 0 0 0 1024\n" +
+                                   "#loss 5 0 0 0 0 1024 0\n" + "1 2 3 0 read 0 0\n");
+  EXPECT_EQ(tf.integrity.size(), 1u);
+  EXPECT_EQ(tf.losses.size(), 1u);
+  EXPECT_EQ(tf.events.size(), 1u);
+}
+
 TEST(Sddf, RejectsOutOfOrderFileTable) {
   const std::string text =
       "#SDDF-IO 1\n#fields start_ns duration_ns node file op offset bytes\n"

@@ -7,8 +7,8 @@ Two input formats are auto-detected:
 
 * google-benchmark output (a dict with a "benchmarks" array): compares
   `items_per_second` per benchmark name.  Benchmarks listed in GATED fail
-  the build when they regress by more than MAX_DROP; everything else only
-  warns.  Refresh with `bench_micro_sim
+  the build when they regress by more than MAX_DROP or are missing from the
+  current run; everything else only warns.  Refresh with `bench_micro_sim
   --benchmark_out=bench/BASELINE_micro_sim.json
   --benchmark_out_format=json` on a quiet machine.
 
@@ -16,7 +16,8 @@ Two input formats are auto-detected:
   and bench_overload): joins current to baseline on the identifying keys
   (app+plan, or scenario+offered_load+qos) and compares
   `goodput_ops_per_s`.  Every record is gated: any goodput drop beyond
-  MAX_DROP fails.  Refresh by rerunning the bench binary and committing its
+  MAX_DROP, or a baselined record missing from the current run, fails.
+  Refresh by rerunning the bench binary and committing its
   JSON (the runs are deterministic, so a goodput change is a behavior
   change, not noise).
 """
@@ -84,9 +85,14 @@ def main():
     baseline = index(load(sys.argv[2]))
 
     failures = []
+    missing = []
     for name in sorted(baseline):
         if name not in current:
-            print(f"bench-gate: WARN {name}: missing from current run")
+            if baseline[name][1]:
+                print(f"bench-gate: {name}: missing from current run MISSING")
+                missing.append(name)
+            else:
+                print(f"bench-gate: WARN {name}: missing from current run")
             continue
         (base, gated), (cur, _) = baseline[name], current[name]
         if base <= 0:
@@ -105,6 +111,9 @@ def main():
     if failures:
         print(f"bench-gate: FAIL: {', '.join(failures)} dropped more than "
               f"{MAX_DROP:.0%} below baseline")
+    if missing:
+        print(f"bench-gate: FAIL: {', '.join(missing)} missing from the current run")
+    if failures or missing:
         return 1
     print("bench-gate: PASS")
     return 0
