@@ -11,19 +11,18 @@
 //   2. a mode_explorer-style fixed write workload across all six PFS access
 //      modes, isolating what each mode's coordination costs on the path.
 //
-//   ./build/bench/bench_attribution
+//   ./build/bench/bench_paper attribution
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "apps/ckpt.hpp"
+#include "bench_paper.hpp"
 #include "core/sio.hpp"
 #include "obs/critical_path.hpp"
 
+namespace sio::bench {
 namespace {
-
-using namespace sio;
 
 // Per-stage critical-path ticks with all op classes collapsed together.
 struct Attribution {
@@ -135,55 +134,47 @@ Attribution sweep_mode(pfs::IoMode mode) {
 
 }  // namespace
 
-int main() {
+std::string render_attribution() {
   const auto plan = fault::FaultPlan::fault_free();
   const auto topt = spans_on();
+  const auto app = [&](std::string label, const core::RunResult& r) {
+    return collapse(std::move(label), r.critical_path);
+  };
+  using apps::ckpt::Variant;
+  using apps::escat::Version;
+  using PrismVersion = apps::prism::Version;
 
-  std::printf(
+  std::string out =
       "Critical-path latency attribution (spans on, fault-free runs).\n"
-      "Cells: %% of summed per-op latency owned by each stage; every op tick\n"
-      "is attributed to exactly one stage, so rows sum to 100.\n\n");
+      "Cells: % of summed per-op latency owned by each stage; every op tick\n"
+      "is attributed to exactly one stage, so rows sum to 100.\n\n"
+      "Paper applications, end to end:\n";
+  out += render_matrix({
+      app("escat A", core::run_escat(apps::escat::make_config(Version::A), plan, topt)),
+      app("escat C", core::run_escat(apps::escat::make_config(Version::C), plan, topt)),
+      app("prism A", core::run_prism(apps::prism::make_config(PrismVersion::A), plan, topt)),
+      app("prism C", core::run_prism(apps::prism::make_config(PrismVersion::C), plan, topt)),
+      app("ckpt naive", core::run_ckpt(apps::ckpt::make_config(Variant::kNaive), plan, topt)),
+      app("ckpt aggregated",
+          core::run_ckpt(apps::ckpt::make_config(Variant::kAggregated), plan, topt)),
+  });
 
-  std::printf("Paper applications, end to end:\n");
-  std::vector<Attribution> apps_rows;
-  apps_rows.push_back(collapse(
-      "escat A", core::run_escat(apps::escat::make_config(apps::escat::Version::A), plan, topt)
-                     .critical_path));
-  apps_rows.push_back(collapse(
-      "escat C", core::run_escat(apps::escat::make_config(apps::escat::Version::C), plan, topt)
-                     .critical_path));
-  apps_rows.push_back(collapse(
-      "prism A", core::run_prism(apps::prism::make_config(apps::prism::Version::A), plan, topt)
-                     .critical_path));
-  apps_rows.push_back(collapse(
-      "prism C", core::run_prism(apps::prism::make_config(apps::prism::Version::C), plan, topt)
-                     .critical_path));
-  apps_rows.push_back(collapse(
-      "ckpt naive",
-      core::run_ckpt(apps::ckpt::make_config(apps::ckpt::Variant::kNaive), plan, topt)
-          .critical_path));
-  apps_rows.push_back(collapse(
-      "ckpt aggregated",
-      core::run_ckpt(apps::ckpt::make_config(apps::ckpt::Variant::kAggregated), plan, topt)
-          .critical_path));
-  std::fputs(render_matrix(apps_rows).c_str(), stdout);
-
-  std::printf(
-      "\nSix PFS access modes, fixed workload (16 nodes x 256 KB, 8 KB"
-      " requests):\n");
+  out += "\nSix PFS access modes, fixed workload (16 nodes x 256 KB, 8 KB requests):\n";
   std::vector<Attribution> mode_rows;
   for (const auto mode :
        {pfs::IoMode::kUnix, pfs::IoMode::kRecord, pfs::IoMode::kAsync, pfs::IoMode::kGlobal,
         pfs::IoMode::kSync, pfs::IoMode::kLog}) {
     mode_rows.push_back(sweep_mode(mode));
   }
-  std::fputs(render_matrix(mode_rows).c_str(), stdout);
+  out += render_matrix(mode_rows);
 
-  std::printf(
+  out +=
       "\nReadings: the tuned runs (escat C, prism C, aggregated ckpt) spend\n"
       "the path in server service — the array itself; naive ckpt's 1 KB\n"
       "writes drown in that same queue; M_UNIX and M_LOG pay their shared\n"
       "pointer in metadata token traffic, and the collective modes swap it\n"
-      "for barrier sync on the path.\n");
-  return 0;
+      "for barrier sync on the path.\n";
+  return out;
 }
+
+}  // namespace sio::bench

@@ -267,20 +267,6 @@ void BM_PfsSmallWrites(benchmark::State& state) {
 }
 BENCHMARK(BM_PfsSmallWrites);
 
-void BM_EscatSmallRun(benchmark::State& state) {
-  apps::escat::Workload w;
-  w.nodes = 16;
-  w.quad_cycles = 8;
-  w.reload_record = 16 * 1024;
-  w.init_small_reads = 10;
-  for (auto _ : state) {
-    auto cfg = apps::escat::make_config(apps::escat::Version::C, w);
-    const auto r = core::run_escat(cfg);
-    benchmark::DoNotOptimize(r.exec_time);
-  }
-}
-BENCHMARK(BM_EscatSmallRun);
-
 }  // namespace
 
 BENCHMARK_MAIN();

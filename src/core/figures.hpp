@@ -2,8 +2,9 @@
 //
 // Each render_* function turns experiment results into the text form of the
 // corresponding paper artifact — the same rows (tables) or series (figures)
-// the paper reports, plus a CSV block for external re-plotting.  The bench
-// binaries are thin wrappers around these.
+// the paper reports, plus a CSV block for external re-plotting.
+// `bench_paper <artifact>` prints them, and ctest diffs each artifact against
+// its golden in bench/golden/.
 
 #pragma once
 

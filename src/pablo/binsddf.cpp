@@ -46,6 +46,20 @@ void put_u64_delta(std::string& out, std::uint64_t value, std::uint64_t prev) {
   varint::put_signed(out, static_cast<std::int64_t>(value - prev));
 }
 
+[[noreturn, gnu::cold, gnu::noinline]] void throw_overflow() {
+  throw std::runtime_error("binary SDDF: delta overflows 64 bits");
+}
+
+/// `prev` plus the next signed delta; a sum outside int64 is corrupt input.
+inline std::int64_t add_signed_delta(std::int64_t prev, const std::string& data,
+                                     std::size_t& pos) {
+  std::int64_t sum = 0;
+  if (__builtin_add_overflow(prev, varint::get_signed(data, pos), &sum)) [[unlikely]] {
+    throw_overflow();
+  }
+  return sum;
+}
+
 std::uint64_t get_u64_delta(const std::string& data, std::size_t& pos, std::uint64_t prev) {
   return prev + static_cast<std::uint64_t>(varint::get_signed(data, pos));
 }
@@ -305,12 +319,12 @@ TraceFile from_binary_sddf(const std::string& container) {
       const auto opi = static_cast<std::size_t>((tag >> 4) & 0x07);
       TraceEvent ev;
       ev.op = static_cast<IoOp>(opi);
-      ev.start = prev_start + varint::get_signed(data, pos);
-      ev.node = static_cast<std::int32_t>(prev_node + varint::get_signed(data, pos));
+      ev.start = add_signed_delta(prev_start, data, pos);
+      ev.node = static_cast<std::int32_t>(add_signed_delta(prev_node, data, pos));
       ev.duration =
-          (tag & kFlagDur) ? prev_dur[opi] + varint::get_signed(data, pos) : prev_dur[opi];
+          (tag & kFlagDur) ? add_signed_delta(prev_dur[opi], data, pos) : prev_dur[opi];
       const std::int64_t file =
-          (tag & kFlagFile) ? prev_file + varint::get_signed(data, pos) : prev_file;
+          (tag & kFlagFile) ? add_signed_delta(prev_file, data, pos) : prev_file;
       ev.file = file_from_signed(file, tf.file_names.size());
       auto& no_off = prev_no_off[node_op_key(ev.node, opi)];
       const std::uint64_t predicted_off = no_off.first + no_off.second;
@@ -331,21 +345,32 @@ TraceFile from_binary_sddf(const std::string& container) {
     switch (tag) {
       case kTagFile: {
         const std::uint64_t len = varint::get(data, pos);
-        if (pos + len > data.size()) throw std::runtime_error("binary SDDF: truncated file name");
-        tf.file_names.emplace_back(data.substr(pos, len));
+        if (len > data.size() - pos) throw std::runtime_error("binary SDDF: truncated file name");
+        // The text dialect writes names verbatim and reads them as one
+        // whitespace-delimited token, so only non-empty names of printable
+        // non-space bytes survive a conversion.
+        const std::string_view name = std::string_view(data).substr(pos, len);
+        if (name.empty()) throw std::runtime_error("binary SDDF: empty file name");
+        for (const char c : name) {
+          const auto b = static_cast<unsigned char>(c);
+          if (b <= 0x20 || b == 0x7f) {
+            throw std::runtime_error("binary SDDF: file name has a space or control byte");
+          }
+        }
+        tf.file_names.emplace_back(name);
         pos += len;
         break;
       }
       case kTagFault: {
         FaultEvent f;
-        f.at = prev_fault.at + varint::get_signed(data, pos);
+        f.at = add_signed_delta(prev_fault.at, data, pos);
         f.op_id = get_u64_delta(data, pos, prev_fault.op_id);
         if (pos >= data.size()) throw std::runtime_error("binary SDDF: truncated fault record");
         const auto kind = static_cast<std::uint8_t>(data[pos++]);
         if (kind >= kFaultKindCount) throw std::runtime_error("binary SDDF: unknown fault kind");
         f.kind = static_cast<FaultKind>(kind);
-        f.node = static_cast<std::int32_t>(prev_fault.node + varint::get_signed(data, pos));
-        f.target = static_cast<std::int32_t>(prev_fault.target + varint::get_signed(data, pos));
+        f.node = static_cast<std::int32_t>(add_signed_delta(prev_fault.node, data, pos));
+        f.target = static_cast<std::int32_t>(add_signed_delta(prev_fault.target, data, pos));
         f.info = get_u64_delta(data, pos, prev_fault.info);
         prev_fault = f;
         // siolint:allow(trace-vector-growth)
@@ -354,14 +379,14 @@ TraceFile from_binary_sddf(const std::string& container) {
       }
       case kTagQos: {
         QosEvent q;
-        q.at = prev_qos.at + varint::get_signed(data, pos);
+        q.at = add_signed_delta(prev_qos.at, data, pos);
         q.op_id = get_u64_delta(data, pos, prev_qos.op_id);
         if (pos >= data.size()) throw std::runtime_error("binary SDDF: truncated qos record");
         const auto kind = static_cast<std::uint8_t>(data[pos++]);
         if (kind >= kQosKindCount) throw std::runtime_error("binary SDDF: unknown qos kind");
         q.kind = static_cast<QosKind>(kind);
-        q.node = static_cast<std::int32_t>(prev_qos.node + varint::get_signed(data, pos));
-        q.target = static_cast<std::int32_t>(prev_qos.target + varint::get_signed(data, pos));
+        q.node = static_cast<std::int32_t>(add_signed_delta(prev_qos.node, data, pos));
+        q.target = static_cast<std::int32_t>(add_signed_delta(prev_qos.target, data, pos));
         q.info = get_u64_delta(data, pos, prev_qos.info);
         prev_qos = q;
         // siolint:allow(trace-vector-growth)
@@ -370,10 +395,10 @@ TraceFile from_binary_sddf(const std::string& container) {
       }
       case kTagLoss: {
         LossEvent l;
-        l.at = prev_loss.at + varint::get_signed(data, pos);
+        l.at = add_signed_delta(prev_loss.at, data, pos);
         l.op_id = get_u64_delta(data, pos, prev_loss.op_id);
-        l.target = static_cast<std::int32_t>(prev_loss.target + varint::get_signed(data, pos));
-        l.file = file_from_signed(file_as_signed(prev_loss.file) + varint::get_signed(data, pos),
+        l.target = static_cast<std::int32_t>(add_signed_delta(prev_loss.target, data, pos));
+        l.file = file_from_signed(add_signed_delta(file_as_signed(prev_loss.file), data, pos),
                                   tf.file_names.size());
         l.offset = get_u64_delta(data, pos, prev_loss.offset);
         l.bytes = get_u64_delta(data, pos, prev_loss.bytes);
@@ -385,7 +410,7 @@ TraceFile from_binary_sddf(const std::string& container) {
       }
       case kTagIntegrity: {
         IntegrityEvent g;
-        g.at = prev_integrity.at + varint::get_signed(data, pos);
+        g.at = add_signed_delta(prev_integrity.at, data, pos);
         if (pos >= data.size()) {
           throw std::runtime_error("binary SDDF: truncated integrity record");
         }
@@ -394,9 +419,9 @@ TraceFile from_binary_sddf(const std::string& container) {
           throw std::runtime_error("binary SDDF: unknown integrity kind");
         }
         g.kind = static_cast<IntegrityKind>(kind);
-        g.target = static_cast<std::int32_t>(prev_integrity.target + varint::get_signed(data, pos));
+        g.target = static_cast<std::int32_t>(add_signed_delta(prev_integrity.target, data, pos));
         g.file = file_from_signed(
-            file_as_signed(prev_integrity.file) + varint::get_signed(data, pos),
+            add_signed_delta(file_as_signed(prev_integrity.file), data, pos),
             tf.file_names.size());
         g.unit = get_u64_delta(data, pos, prev_integrity.unit);
         g.bytes = get_u64_delta(data, pos, prev_integrity.bytes);
@@ -407,12 +432,13 @@ TraceFile from_binary_sddf(const std::string& container) {
       }
       case kTagSpan: {
         SpanEvent s;
-        const sim::Tick end = prev_span.end() + varint::get_signed(data, pos);
-        s.duration = prev_span.duration + varint::get_signed(data, pos);
-        s.start = end - s.duration;
+        const sim::Tick end = add_signed_delta(prev_span.end(), data, pos);
+        s.duration = add_signed_delta(prev_span.duration, data, pos);
+        if (__builtin_sub_overflow(end, s.duration, &s.start)) {
+          throw std::runtime_error("binary SDDF: span start overflows 64 bits");
+        }
         s.op_id = get_u64_delta(data, pos, prev_span.op_id);
-        s.span = static_cast<std::uint32_t>(static_cast<std::int64_t>(prev_span.span) +
-                                            varint::get_signed(data, pos));
+        s.span = static_cast<std::uint32_t>(add_signed_delta(prev_span.span, data, pos));
         const std::uint64_t parent_dist = varint::get(data, pos);
         if (parent_dist >= s.span && parent_dist != 0) {
           throw std::runtime_error("binary SDDF: span parent out of range");
@@ -424,8 +450,8 @@ TraceFile from_binary_sddf(const std::string& container) {
           throw std::runtime_error("binary SDDF: unknown span stage");
         }
         s.stage = static_cast<obs::StageKind>(stage);
-        s.node = static_cast<std::int32_t>(prev_span.node + varint::get_signed(data, pos));
-        s.target = static_cast<std::int32_t>(prev_span.target + varint::get_signed(data, pos));
+        s.node = static_cast<std::int32_t>(add_signed_delta(prev_span.node, data, pos));
+        s.target = static_cast<std::int32_t>(add_signed_delta(prev_span.target, data, pos));
         s.bytes = get_u64_delta(data, pos, prev_span.bytes);
         s.flags = varint::get(data, pos);
         s.info = get_u64_delta(data, pos, prev_span.info);

@@ -15,8 +15,9 @@
 //                      into stripe-aligned transfers (what the ESCAT
 //                      developers did by hand, provided as a library).
 //
-// bench/bench_ablation_policies.cpp quantifies each against the paper's
-// claim that they recover hand-tuned performance from naive request streams.
+// `bench_paper ablation` (bench/bench_paper.cpp) quantifies each against the
+// paper's claim that they recover hand-tuned performance from naive request
+// streams.
 
 #pragma once
 

@@ -289,6 +289,58 @@ TEST(BinSddf, RejectsCompressedFramesThatOverstateTheirLength) {
   EXPECT_THROW(from_binary_sddf(compressed), std::runtime_error);
 }
 
+TEST(BinSddf, RejectsFileRecordLengthThatWrapsTheOffset) {
+  // A stored frame holding one #file record whose length is 2^64 - 11: the
+  // sum with the read offset wraps to zero, so an unchecked decoder would
+  // step back and re-read the same record forever.
+  std::string records("\x01");
+  varint::put(records, ~std::uint64_t{0} - 10);
+  records += std::string("ab\0", 3);
+  std::string c(kBinarySddfMagic);
+  varint::put(c, records.size());
+  varint::put(c, 0);
+  c += records;
+  ASSERT_EQ(c.size(), 22u);
+  EXPECT_THROW(from_binary_sddf(c), std::runtime_error);
+}
+
+TEST(BinSddf, RejectsDeltasThatOverflowTheirField) {
+  // File-less events whose start deltas sum past INT64_MAX must be rejected,
+  // not wrapped.
+  const auto trace = [](std::vector<std::int64_t> start_deltas) {
+    std::string records;
+    for (const std::int64_t d : start_deltas) {
+      records += static_cast<char>(0x80);  // event, op 0, no presence flags
+      varint::put_signed(records, d);      // start
+      varint::put_signed(records, 0);      // node
+    }
+    records += '\0';
+    std::string c(kBinarySddfMagic);
+    varint::put(c, records.size());
+    varint::put(c, 0);
+    return c + records;
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(from_binary_sddf(trace({kMax})).events.at(0).start, kMax);
+  EXPECT_THROW(from_binary_sddf(trace({kMax, 1})), std::runtime_error);
+  EXPECT_THROW(from_binary_sddf(trace({-kMax, -2})), std::runtime_error);
+}
+
+TEST(BinSddf, RejectsFileNamesTheTextDialectCannotCarry) {
+  // The text dialect reads a file name as one whitespace-delimited token, so
+  // these would decode from binary but convert to a different or unreadable
+  // text trace.
+  for (const std::string& name : {std::string("a b"), std::string("tab\there"), std::string(),
+                                 std::string("x\ny"), std::string("bell\x07"),
+                                 std::string("del\x7f")}) {
+    EXPECT_THROW(from_binary_sddf(to_binary_sddf({name}, {})), std::runtime_error)
+        << "'" << name << "'";
+  }
+  // Printable names, including UTF-8 bytes, still round-trip.
+  const std::vector<std::string> names{"dir/file-1.dat", "caf\xc3\xa9", "#file"};
+  EXPECT_EQ(from_binary_sddf(to_binary_sddf(names, {})).file_names, names);
+}
+
 TEST(BinSddf, RejectsEventReferencingUnknownFile) {
   // File id 0 is referenced but no file-table entry precedes it.
   const std::string bin = to_binary_sddf({}, {ev(1, 1, 0, 0, IoOp::kRead, 0, 1)});

@@ -1,25 +1,14 @@
 #!/usr/bin/env python3
-"""Gate benchmark results against a checked-in baseline.
+"""Gate google-benchmark results against a checked-in baseline.
 
 Usage: bench_gate.py CURRENT.json BASELINE.json
 
-Two input formats are auto-detected:
-
-* google-benchmark output (a dict with a "benchmarks" array): compares
-  `items_per_second` per benchmark name.  Benchmarks listed in GATED fail
-  the build when they regress by more than MAX_DROP or are missing from the
-  current run; everything else only warns.  Refresh with `bench_micro_sim
-  --benchmark_out=bench/BASELINE_micro_sim.json
-  --benchmark_out_format=json` on a quiet machine.
-
-* scenario records (a JSON array of objects, as written by bench_resilience
-  and bench_overload): joins current to baseline on the identifying keys
-  (app+plan, or scenario+offered_load+qos) and compares
-  `goodput_ops_per_s`.  Every record is gated: any goodput drop beyond
-  MAX_DROP, or a baselined record missing from the current run, fails.
-  Refresh by rerunning the bench binary and committing its
-  JSON (the runs are deterministic, so a goodput change is a behavior
-  change, not noise).
+Compares `items_per_second` per benchmark name.  Benchmarks listed in GATED
+fail the build when they regress by more than MAX_DROP or are missing from
+the current run; everything else only warns.  Refresh with `bench_micro_sim
+--benchmark_out=bench/BASELINE_micro_sim.json --benchmark_out_format=json`
+on a quiet machine.  (Deterministic outputs are not gated here: ctest diffs
+them exactly against bench/golden/.)
 """
 
 import json
@@ -34,33 +23,13 @@ GATED = {"BM_EngineScheduleDispatch", "BM_TraceEmitBinary", "BM_TraceStreamingFo
          "BM_SpanEmit"}
 MAX_DROP = 0.25
 
-# Keys that identify a scenario record (first full match wins).
-RECORD_KEYS = [("app", "plan"), ("scenario", "offered_load", "qos")]
-RECORD_METRIC = "goodput_ops_per_s"
-
 
 def load(path):
     with open(path) as f:
         return json.load(f)
 
 
-def record_name(rec):
-    for keys in RECORD_KEYS:
-        if all(k in rec for k in keys):
-            return "/".join(str(rec[k]) for k in keys)
-    return None
-
-
-def index_records(data):
-    out = {}
-    for rec in data:
-        name = record_name(rec)
-        if name is not None and RECORD_METRIC in rec:
-            out[name] = (float(rec[RECORD_METRIC]), True)
-    return out
-
-
-def index_google_benchmark(data):
+def index(data):
     out = {}
     for b in data.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
@@ -69,12 +38,6 @@ def index_google_benchmark(data):
         if ips:
             out[b["name"]] = (ips, b["name"] in GATED)
     return out
-
-
-def index(data):
-    if isinstance(data, list):
-        return index_records(data)
-    return index_google_benchmark(data)
 
 
 def main():

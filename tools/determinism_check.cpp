@@ -8,7 +8,10 @@
 // iteration reaching a report, a lost coroutine changing the schedule) and
 // would corrupt every regenerated table and figure.
 //
-// Registered as a CTest test; exit 0 = deterministic, 1 = divergence.
+// Registered as a CTest test; exit 0 = deterministic, 1 = divergence.  Each
+// OK line carries an FNV-1a 64 digest of the fingerprint, and the test
+// compares the whole output with bench/golden/determinism_<mode>.txt, so a
+// change that shifts both runs the same way fails as well.
 //
 // `--fault-seed N` additionally runs both experiments under the seeded
 // random fault plan `fault::FaultPlan::random_plan(N, ...)`, extending the
@@ -46,6 +49,8 @@
 // vectors vs streaming-only), since the bounded fold must observe exactly
 // the spans the vector path retains.
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -120,9 +125,22 @@ std::string overload_fingerprint(const sio::core::OverloadResult& r) {
   return out.str();
 }
 
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
 bool check(const char* what, const std::string& a, const std::string& b, int& failures) {
   if (a == b) {
-    std::cout << "determinism-check: " << what << ": OK (" << a.size() << " fingerprint bytes)\n";
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(a)));
+    std::cout << "determinism-check: " << what << ": OK (" << a.size()
+              << " fingerprint bytes, fnv1a64 " << digest << ")\n";
     return true;
   }
   ++failures;
