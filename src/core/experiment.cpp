@@ -122,31 +122,26 @@ RunResult run_app(App app, Cfg cfg, const hw::OsProfile& os, int nodes, std::uin
 
   r.exec_time = app_done;
   r.events_processed = machine.engine().events_processed();
-  r.events = collector.events();
-  r.file_names.reserve(collector.file_count());
-  for (std::size_t i = 0; i < collector.file_count(); ++i) {
-    r.file_names.push_back(collector.file_name(static_cast<pablo::FileId>(i)));
-  }
   r.phases = log.spans();
-  r.fault_events = collector.fault_events();
-  r.qos_events = collector.qos_events();
-  r.loss_events = collector.loss_events();
-  r.span_events = collector.span_events();
-  if (const auto* s = collector.streaming()) {
-    r.streaming = *s;
-    r.critical_path = s->critical_path();
-    // The bounded streaming fold and the batch attribution over the retained
-    // vector must agree exactly — both tile every root to the tick.
-    if (collector.retain_events() && collector.tracer() != nullptr) {
-      SIO_ASSERT(obs::critical_path(r.span_events) == r.critical_path);
-    }
-  } else {
-    r.critical_path = obs::critical_path(r.span_events);
-  }
   if (collector.binary_writer() != nullptr) r.binary_trace = collector.finish_binary_trace();
+  // Account memory while the collector still holds its state, then move it
+  // out instead of copying.
   r.trace_memory = collector.memory_stats();
+  if (auto* s = collector.streaming()) {
+    r.streaming = std::move(*s);
+    r.critical_path = r.streaming->critical_path();
+  }
+  pablo::TraceFile kept = collector.take_trace();
+  r.file_names = std::move(kept.file_names);
+  r.events = std::move(kept.events);
+  r.fault_events = std::move(kept.faults);
+  r.qos_events = std::move(kept.qos);
+  r.loss_events = std::move(kept.losses);
+  r.integrity_events = std::move(kept.integrity);
+  r.span_events = std::move(kept.spans);
+  // Without the streaming fold, attribute the retained spans in one batch.
+  if (!r.streaming) r.critical_path = obs::critical_path(r.span_events);
   r.scrub = fs.scrub();
-  r.integrity_events = collector.integrity_events();
   r.integrity = fs.integrity_report();
 
   auto& rc = r.resilience;

@@ -3,48 +3,50 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <map>
+
+#include "sim/assert.hpp"
 
 namespace sio::obs {
 namespace {
 
 constexpr std::size_t stage_index(StageKind k) { return static_cast<std::size_t>(k); }
 
-/// Children of each span in one tree, sorted latest-end-first (ties to the
-/// larger id, i.e. the later-opened sibling) so the walk is deterministic.
-using ChildMap = std::map<std::uint32_t, std::vector<const SpanEvent*>>;
-
-void sort_children(ChildMap& children) {
-  for (auto& [id, kids] : children) {
-    std::sort(kids.begin(), kids.end(), [](const SpanEvent* a, const SpanEvent* b) {
-      if (a->end() != b->end()) return a->end() > b->end();
-      return a->span > b->span;
-    });
-  }
+/// Orders a tree's non-root spans by parent, then latest-end-first (ties to
+/// the larger id, i.e. the later-opened sibling), so each span's children
+/// form one contiguous run in the order the walk visits them.
+bool child_before(const SpanEvent* a, const SpanEvent* b) {
+  if (a->parent != b->parent) return a->parent < b->parent;
+  if (a->end() != b->end()) return a->end() > b->end();
+  return a->span > b->span;
 }
 
 /// Attributes every tick of `[lo, hi)` to exactly one stage.  The child that
 /// ends latest owns the tail of the window it covers; whatever no child
-/// covers stays with `n`'s own stage.
-void tile(const SpanEvent& n, sim::Tick lo, sim::Tick hi, const ChildMap& children,
+/// covers stays with `n`'s own stage.  `members` is sorted by child_before.
+void tile(const SpanEvent& n, sim::Tick lo, sim::Tick hi,
+          const std::vector<const SpanEvent*>& members,
           std::array<sim::Tick, kStageKindCount>& acc) {
   sim::Tick t = hi;
-  if (auto it = children.find(n.span); it != children.end()) {
-    for (const SpanEvent* c : it->second) {
-      sim::Tick ce = std::min(c->end(), t);
-      sim::Tick cs = std::max(c->start, lo);
-      if (ce <= cs) continue;
-      acc[stage_index(n.stage)] += t - ce;
-      tile(*c, cs, ce, children, acc);
-      t = cs;
-      if (t <= lo) break;
-    }
+  auto it = std::lower_bound(members.begin(), members.end(), n.span,
+                             [](const SpanEvent* c, std::uint32_t p) { return c->parent < p; });
+  for (; it != members.end() && (*it)->parent == n.span; ++it) {
+    const SpanEvent* c = *it;
+    sim::Tick ce = std::min(c->end(), t);
+    sim::Tick cs = std::max(c->start, lo);
+    if (ce <= cs) continue;
+    acc[stage_index(n.stage)] += t - ce;
+    tile(*c, cs, ce, members, acc);
+    t = cs;
+    if (t <= lo) break;
   }
   if (t > lo) acc[stage_index(n.stage)] += t - lo;
 }
 
+/// Folds one tree: `root` plus every other span of it, in any order.
 void fold_tree(CriticalPathReport& report, const SpanEvent& root,
-               const std::vector<const SpanEvent*>& members, ChildMap& children) {
-  sort_children(children);
+               std::vector<const SpanEvent*>& members) {
+  std::sort(members.begin(), members.end(), child_before);
   auto& row = report.rows[root.info % kOpClassSlots];
   row.ops += 1;
   row.total_latency += root.duration;
@@ -54,7 +56,7 @@ void fold_tree(CriticalPathReport& report, const SpanEvent& root,
     row.spans[stage_index(m->stage)] += 1;
     if (m->abandoned()) row.abandoned += 1;
   }
-  tile(root, root.start, root.end(), children, row.exclusive);
+  tile(root, root.start, root.end(), members, row.exclusive);
   report.roots += 1;
   report.spans += 1 + members.size();
 }
@@ -103,45 +105,64 @@ std::uint64_t CriticalPathReport::fingerprint() const {
 
 void CriticalPathFold::on_span(const SpanEvent& ev) {
   if (ev.parent != 0) {
-    pending_.emplace(ev.span, ev);
+    add_pending(ev);
     return;
   }
-  // A root closed; every descendant already closed (children close before
-  // parents), so the whole tree sits in the buffer.  Descendant ids are all
-  // larger than the root's, so only the upper range needs an ancestry test.
-  std::vector<const SpanEvent*> members;
-  ChildMap children;
-  std::vector<std::uint32_t> member_ids;
-  for (auto it = pending_.upper_bound(ev.span); it != pending_.end(); ++it) {
-    std::uint32_t p = it->second.parent;
-    bool in_tree = false;
-    while (p != 0) {
-      if (p == ev.span) {
-        in_tree = true;
-        break;
-      }
-      auto pit = pending_.find(p);
-      if (pit == pending_.end()) break;
-      p = pit->second.parent;
+  // A root closed.  Every descendant closed before it, so the whole tree
+  // hangs off the buckets below the root: walking them breadth-first visits
+  // exactly this tree and nothing of the other in-flight ops.  Taken slots
+  // go straight back on the free list; nothing reuses them before the fold
+  // below has read them.
+  tree_.clear();
+  auto take_children = [this](std::uint32_t parent) {
+    const std::uint32_t* head = children_.find(parent);
+    if (head == nullptr) return;
+    for (std::uint32_t i = *head; i != kNone;) {
+      Pending& p = pool_[i];
+      tree_.push_back(&p.ev);
+      const std::uint32_t next = p.next;
+      p.next = free_;
+      free_ = i;
+      i = next;
     }
-    if (in_tree) {
-      members.push_back(&it->second);
-      children[it->second.parent].push_back(&it->second);
-      member_ids.push_back(it->first);
-    }
+    children_.erase(parent);
+  };
+  take_children(ev.span);
+  for (std::size_t k = 0; k < tree_.size(); ++k) take_children(tree_[k]->span);
+  pending_ -= tree_.size();
+  fold_tree(report_, ev, tree_);
+}
+
+void CriticalPathFold::add_pending(const SpanEvent& ev) {
+  std::uint32_t i = free_;
+  if (i != kNone) {
+    free_ = pool_[i].next;
+    pool_[i].ev = ev;
+  } else {
+    i = static_cast<std::uint32_t>(pool_.size());
+    pool_.push_back(Pending{ev, kNone});
   }
-  fold_tree(report_, ev, members, children);
-  for (std::uint32_t id : member_ids) pending_.erase(id);
+  if (std::uint32_t* head = children_.find(ev.parent)) {
+    pool_[i].next = *head;
+    *head = i;
+  } else {
+    pool_[i].next = kNone;
+    children_.insert(ev.parent, i);
+  }
+  ++pending_;
 }
 
 std::size_t CriticalPathFold::bytes_retained() const {
-  return pending_.size() *
-         (sizeof(std::pair<const std::uint32_t, SpanEvent>) + 4 * sizeof(void*));
+  return pool_.capacity() * sizeof(Pending) + children_.bytes_retained() +
+         tree_.capacity() * sizeof(const SpanEvent*);
 }
 
 void CriticalPathFold::merge(const CriticalPathFold& o) {
+  SIO_ASSERT(&o != this);
   report_.merge(o.report_);
-  for (const auto& [id, ev] : o.pending_) pending_.emplace(id, ev);
+  o.children_.for_each([&](std::uint32_t, std::uint32_t head) {
+    for (std::uint32_t i = head; i != kNone; i = o.pool_[i].next) add_pending(o.pool_[i].ev);
+  });
 }
 
 CriticalPathReport critical_path(const std::vector<SpanEvent>& spans) {
@@ -167,11 +188,7 @@ CriticalPathReport critical_path(const std::vector<SpanEvent>& spans) {
       p = it->second->parent;
     }
   }
-  for (auto& [root_id, members] : tree_members) {
-    ChildMap children;
-    for (const SpanEvent* m : members) children[m->parent].push_back(m);
-    fold_tree(report, *by_id.at(root_id), members, children);
-  }
+  for (auto& [root_id, members] : tree_members) fold_tree(report, *by_id.at(root_id), members);
   return report;
 }
 

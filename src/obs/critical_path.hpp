@@ -10,22 +10,24 @@
 // exact by construction: per op class, the per-stage sums add up to the
 // summed root latency *to the tick*, which RunResult cross-checks.
 //
-// `CriticalPathFold` consumes spans in emission order with bounded memory:
-// children close before parents, so a tree is complete the moment its root
-// arrives, gets folded, and is dropped — the buffer only ever holds spans of
-// in-flight ops.  Folds merge exactly (elementwise sums), so sharded runs
-// reduce to the same report byte-for-byte.
+// `CriticalPathFold` consumes spans in emission order.  Children close
+// before their parent, so the fold files each non-root span under its
+// parent's id; when a root closes, its whole tree is reachable by walking
+// down those buckets, gets folded in O(tree), and is dropped.  Retained
+// memory is the spans of in-flight ops (plus any orphan whose parent never
+// closes), never run length.  Folds merge exactly (elementwise sums), so
+// sharded runs reduce to the same report byte-for-byte.
 
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/id_table.hpp"
 #include "obs/span.hpp"
 
 namespace sio::obs {
@@ -62,23 +64,42 @@ struct CriticalPathReport {
   bool operator==(const CriticalPathReport&) const = default;
 };
 
-/// Bounded-memory streaming fold: feed spans in emission order (children
-/// before their parent); each completed tree is attributed and discarded.
+/// Streaming fold: feed spans in emission order (children before their
+/// parent); each tree is attributed and discarded when its root arrives.
+/// A span whose parent never arrives stays pending and is never folded,
+/// exactly as the batch `critical_path()` ignores it.
 class CriticalPathFold {
  public:
   void on_span(const SpanEvent& ev);
 
   const CriticalPathReport& report() const { return report_; }
-  std::size_t pending_spans() const { return pending_.size(); }
+  std::size_t pending_spans() const { return pending_; }
+
+  /// Capacity of the pending pool, the parent-id table and the tree
+  /// scratch buffer.  Each follows a high-water mark of in-flight spans.
   std::size_t bytes_retained() const;
 
+  /// Adds `o`'s report and takes copies of its pending spans.  Span ids
+  /// must be unique across the two folds (two parts of one stream).
   void merge(const CriticalPathFold& o);
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// One pending span, linked into its parent's bucket or the free list.
+  struct Pending {
+    SpanEvent ev;
+    std::uint32_t next = kNone;
+  };
+
+  void add_pending(const SpanEvent& ev);
+
   CriticalPathReport report_;
-  // Spans waiting for their root, keyed by id; children lists rebuilt from
-  // parent pointers when the root lands.
-  std::map<std::uint32_t, SpanEvent> pending_;
+  std::vector<Pending> pool_;        ///< Slots recycled through `free_`.
+  std::uint32_t free_ = kNone;       ///< Head of the free-slot list.
+  IdTable<std::uint32_t> children_;  ///< Parent id -> first pending child.
+  std::size_t pending_ = 0;
+  std::vector<const SpanEvent*> tree_;  ///< Scratch: the tree being folded.
 };
 
 /// Batch attribution over a full span vector (any order, multiple trees).

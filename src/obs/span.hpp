@@ -11,8 +11,9 @@
 // root*, so abandoned work is visible instead of silently lost.
 //
 // Spans are emitted on close (chronological in end time), ride the SDDF
-// dialects as `#span` records, and fold bounded-memory into the per-(op
-// class, stage) critical-path attribution in obs/critical_path.hpp.  The
+// dialects as `#span` records, and fold into the per-(op class, stage)
+// critical-path attribution in obs/critical_path.hpp, one tree at a time in
+// O(tree) with memory bounded by the spans of in-flight ops.  The
 // subsystem is fully deterministic: ids come from a per-tracer counter and
 // times from the engine clock, so two runs emit byte-identical span streams.
 

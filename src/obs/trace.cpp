@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -10,58 +12,58 @@ std::uint32_t Tracer::open(std::uint32_t parent, StageKind stage,
                            std::uint64_t op_id, std::int32_t node,
                            std::int32_t target, std::uint64_t bytes,
                            std::uint64_t info) {
-  if (parent != 0 && !open_.contains(parent)) return 0;
+  if (parent != 0 && open_.find(parent) == nullptr) return 0;
   std::uint32_t id = next_id_++;
-  open_.emplace(id, OpenSpan{.start = engine_.now(),
-                             .op_id = op_id,
-                             .parent = parent,
-                             .stage = stage,
-                             .node = node,
-                             .target = target,
-                             .bytes = bytes,
-                             .info = info});
+  open_.insert(id, OpenSpan{.start = engine_.now(),
+                            .op_id = op_id,
+                            .parent = parent,
+                            .stage = stage,
+                            .node = node,
+                            .target = target,
+                            .bytes = bytes,
+                            .info = info});
   return id;
 }
 
 void Tracer::close(std::uint32_t id) {
-  auto it = open_.find(id);
-  if (it == open_.end()) return;
-  emit(id, it->second, 0);
-  open_.erase(it);
-}
-
-bool Tracer::has_ancestor(std::uint32_t id, std::uint32_t ancestor) const {
-  while (id != 0) {
-    auto it = open_.find(id);
-    if (it == open_.end()) return false;
-    if (it->second.parent == ancestor) return true;
-    id = it->second.parent;
-  }
-  return false;
+  const OpenSpan* s = open_.find(id);
+  if (s == nullptr) return;
+  emit(id, *s, 0);
+  open_.erase(id);
 }
 
 void Tracer::abandon(std::uint32_t id) {
-  if (!open_.contains(id)) return;
-  // Descendants always have larger ids than their ancestor; collect them
-  // before erasing anything so parent chains stay walkable.
+  if (open_.find(id) == nullptr) return;
+  // Descendants always have larger ids than their ancestor.  Visiting the
+  // larger open ids in ascending order reaches every parent before its
+  // children, so one pass with a membership test on the (ascending) doomed
+  // list finds the whole open subtree.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> later;  // (id, parent)
+  open_.for_each([&](std::uint32_t k, const OpenSpan& s) {
+    if (k > id) later.emplace_back(k, s.parent);
+  });
+  std::sort(later.begin(), later.end());
   std::vector<std::uint32_t> doomed{id};
-  for (auto it = open_.upper_bound(id); it != open_.end(); ++it) {
-    if (it->first == id || has_ancestor(it->first, id)) doomed.push_back(it->first);
+  for (const auto& [k, parent] : later) {
+    if (std::binary_search(doomed.begin(), doomed.end(), parent)) doomed.push_back(k);
   }
-  // Deepest-first: larger ids are deeper, so children emit before parents
-  // just like a normal unwind.
-  for (auto rit = doomed.rbegin(); rit != doomed.rend(); ++rit) {
-    auto it = open_.find(*rit);
-    emit(*rit, it->second, kSpanAbandoned);
-    open_.erase(it);
-  }
+  force_close(doomed);
 }
 
 void Tracer::finish() {
-  while (!open_.empty()) {
-    auto it = std::prev(open_.end());
-    emit(it->first, it->second, kSpanAbandoned);
-    open_.erase(it);
+  std::vector<std::uint32_t> ids;
+  ids.reserve(open_.size());
+  open_.for_each([&](std::uint32_t k, const OpenSpan&) { ids.push_back(k); });
+  std::sort(ids.begin(), ids.end());
+  force_close(ids);
+}
+
+void Tracer::force_close(const std::vector<std::uint32_t>& ids) {
+  // Larger ids are deeper, so descending order emits children before their
+  // parents just like a normal unwind.
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    emit(*it, *open_.find(*it), kSpanAbandoned);
+    open_.erase(*it);
   }
 }
 
@@ -82,18 +84,15 @@ void Tracer::emit(std::uint32_t id, const OpenSpan& s, std::uint64_t flags) {
 }
 
 void Tracer::set_bytes(std::uint32_t id, std::uint64_t bytes) {
-  auto it = open_.find(id);
-  if (it != open_.end()) it->second.bytes = bytes;
+  if (OpenSpan* s = open_.find(id)) s->bytes = bytes;
 }
 
 void Tracer::set_op_id(std::uint32_t id, std::uint64_t op_id) {
-  auto it = open_.find(id);
-  if (it != open_.end()) it->second.op_id = op_id;
+  if (OpenSpan* s = open_.find(id)) s->op_id = op_id;
 }
 
 void Tracer::set_info(std::uint32_t id, std::uint64_t info) {
-  auto it = open_.find(id);
-  if (it != open_.end()) it->second.info = info;
+  if (OpenSpan* s = open_.find(id)) s->info = info;
 }
 
 }  // namespace sio::obs

@@ -17,10 +17,12 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <utility>
+#include <vector>
 
+#include "obs/id_table.hpp"
 #include "obs/span.hpp"
 
 namespace sio::sim {
@@ -78,9 +80,13 @@ class Tracer {
   void set_op_id(std::uint32_t id, std::uint64_t op_id);
   void set_info(std::uint32_t id, std::uint64_t info);
 
-  bool is_open(std::uint32_t id) const { return open_.contains(id); }
+  bool is_open(std::uint32_t id) const { return open_.find(id) != nullptr; }
   std::size_t open_count() const { return open_.size(); }
   std::uint64_t spans_emitted() const { return emitted_; }
+
+  /// Bytes held by the open-span table: its capacity, which follows the
+  /// peak number of spans open at once.
+  std::size_t bytes_retained() const { return open_.bytes_retained(); }
 
  private:
   struct OpenSpan {
@@ -95,13 +101,14 @@ class Tracer {
   };
 
   void emit(std::uint32_t id, const OpenSpan& s, std::uint64_t flags);
-  bool has_ancestor(std::uint32_t id, std::uint32_t ancestor) const;
+  /// Force-closes `ids` (sorted ascending) deepest-first: descending id.
+  void force_close(const std::vector<std::uint32_t>& ids);
 
   sim::Engine& engine_;
   SpanSink& sink_;
-  // Ordered so force-close can walk descendants (always larger ids than the
-  // ancestor) in a deterministic deepest-first order.
-  std::map<std::uint32_t, OpenSpan> open_;
+  // Open spans by id: O(1) open, close and set_*.  Force-close collects the
+  // ids it needs and sorts them, so the table keeps no order of its own.
+  IdTable<OpenSpan> open_;
   std::uint32_t next_id_ = 1;
   std::uint64_t emitted_ = 0;
 };

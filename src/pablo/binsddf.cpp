@@ -346,16 +346,9 @@ TraceFile from_binary_sddf(const std::string& container) {
       case kTagFile: {
         const std::uint64_t len = varint::get(data, pos);
         if (len > data.size() - pos) throw std::runtime_error("binary SDDF: truncated file name");
-        // The text dialect writes names verbatim and reads them as one
-        // whitespace-delimited token, so only non-empty names of printable
-        // non-space bytes survive a conversion.
         const std::string_view name = std::string_view(data).substr(pos, len);
-        if (name.empty()) throw std::runtime_error("binary SDDF: empty file name");
-        for (const char c : name) {
-          const auto b = static_cast<unsigned char>(c);
-          if (b <= 0x20 || b == 0x7f) {
-            throw std::runtime_error("binary SDDF: file name has a space or control byte");
-          }
+        if (!is_portable_file_name(name)) {
+          throw std::runtime_error("binary SDDF: file name the text dialect cannot carry");
         }
         tf.file_names.emplace_back(name);
         pos += len;

@@ -1,6 +1,7 @@
 #include "pablo/collector.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "pablo/sddf.hpp"
 
@@ -27,6 +28,21 @@ const std::vector<TraceEvent>& Collector::events() const {
   return events_;
 }
 
+TraceFile Collector::take_trace() {
+  TraceFile tf;
+  events();  // sort before handing over
+  tf.file_names = std::move(files_);
+  tf.events = std::move(events_);
+  tf.faults = std::move(faults_);
+  tf.qos = std::move(qos_);
+  tf.losses = std::move(losses_);
+  tf.integrity = std::move(integrity_);
+  tf.spans = std::move(spans_);
+  files_.clear();
+  clear();
+  return tf;
+}
+
 std::size_t Collector::bytes_retained() const {
   std::size_t total = sizeof(*this);
   total += files_.capacity() * sizeof(std::string);
@@ -37,7 +53,7 @@ std::size_t Collector::bytes_retained() const {
   total += losses_.capacity() * sizeof(LossEvent);
   total += integrity_.capacity() * sizeof(IntegrityEvent);
   total += spans_.capacity() * sizeof(SpanEvent);
-  if (tracer_) total += tracer_->open_count() * (sizeof(SpanEvent) + 4 * sizeof(void*));
+  if (tracer_) total += tracer_->bytes_retained();
   if (streaming_) total += streaming_->bytes_retained();
   if (bin_writer_) total += bin_writer_->buffered_capacity();
   return total;

@@ -238,7 +238,7 @@ class Collector : public obs::SpanSink {
   std::string sddf_text() const;
 
   /// Bytes currently held by trace state (vector capacities, file names,
-  /// streaming aggregates, binary buffer).
+  /// the tracer's open-span table, streaming aggregates, binary buffer).
   std::size_t bytes_retained() const;
 
   /// Current + peak memory accounting.  Peak is sampled every 1024 recorded
@@ -248,6 +248,11 @@ class Collector : public obs::SpanSink {
     note_peak();
     return TraceMemoryStats{bytes_retained(), peak_bytes_retained_, events_recorded_};
   }
+
+  /// Hands the file registry and every retained vector over at end of run
+  /// (events sorted as events() returns them), leaving the collector empty.
+  /// Take memory_stats() first: vectors moved out no longer count.
+  TraceFile take_trace();
 
   /// Removes all recorded events (keeps the file registry).
   void clear() {

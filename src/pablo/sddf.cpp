@@ -37,6 +37,15 @@ FileId parse_file_field(const std::string& field, std::size_t table_size, const 
 }
 }  // namespace
 
+bool is_portable_file_name(std::string_view name) {
+  if (name.empty()) return false;
+  for (const char c : name) {
+    const auto b = static_cast<unsigned char>(c);
+    if (b <= 0x20 || b == 0x7f) return false;
+  }
+  return true;
+}
+
 IoOp parse_io_op(const std::string& name) {
   for (int i = 0; i < kIoOpCount; ++i) {
     const auto op = static_cast<IoOp>(i);
@@ -201,6 +210,9 @@ TraceFile read_sddf(std::istream& in) {
       std::size_t id = 0;
       std::string path;
       if (!(ls >> id >> path)) throw std::runtime_error("SDDF: bad #file line");
+      if (!is_portable_file_name(path)) {
+        throw std::runtime_error("SDDF: file name has a control byte");
+      }
       if (id != tf.file_names.size()) {
         throw std::runtime_error("SDDF: file table ids must be dense and ordered");
       }
@@ -264,6 +276,15 @@ TraceFile read_sddf(std::istream& in) {
         throw std::runtime_error("SDDF: bad #span line: " + line);
       }
       s.stage = parse_stage_kind(stage_field);
+      // Same limits as the binary dialect: the end tick must fit in 64 bits
+      // and a parent opens before its child.
+      sim::Tick end = 0;
+      if (__builtin_add_overflow(s.start, s.duration, &end)) {
+        throw std::runtime_error("SDDF: #span end overflows 64 bits: " + line);
+      }
+      if (s.parent >= s.span && s.parent != 0) {
+        throw std::runtime_error("SDDF: #span parent does not precede the span: " + line);
+      }
       tf.spans.push_back(s);  // siolint:allow(trace-vector-growth) batch decode materializes
       continue;
     }

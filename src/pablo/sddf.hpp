@@ -37,6 +37,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pablo/collector.hpp"
@@ -91,6 +92,12 @@ void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
                 const std::vector<QosEvent>& qos, const std::vector<LossEvent>& losses,
                 const std::vector<IntegrityEvent>& integrity,
                 const std::vector<SpanEvent>& spans);
+
+/// True when `name` can be a `#file` name in both dialects: non-empty, with
+/// no space, control byte or DEL.  The text dialect writes names verbatim
+/// and reads them back as one whitespace-delimited token, so both decoders
+/// reject any other name.
+bool is_portable_file_name(std::string_view name);
 
 /// Parses a trace written by write_sddf.  Throws std::runtime_error on
 /// malformed input (bad magic, unknown op, truncated record).

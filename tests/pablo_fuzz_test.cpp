@@ -15,7 +15,8 @@
 //
 // Every input must either be rejected with std::runtime_error or round-trip:
 // a decoded binary trace goes binary -> text -> binary to the same bytes, and
-// a decoded text trace rewrites text -> text to the same bytes.  Anything
+// a decoded text trace rewrites text -> text and text -> binary -> text to
+// the same bytes.  Anything
 // else (another exception type, an unreadable rewrite, a changed trace) is a
 // decoder bug.  All randomness comes from one seeded sim::Rng, so a failure
 // replays exactly.
@@ -122,6 +123,14 @@ Verdict check_text(const std::string& text) {
                       e.what()};
   }
   if (text_of(again) != once) return {true, "text -> text changed it"};
+  TraceFile via_binary;
+  try {
+    via_binary = from_binary_sddf(binary_of(tf));
+  } catch (const std::runtime_error& e) {
+    return {true, std::string("the binary form of an accepted text trace is unreadable: ") +
+                      e.what()};
+  }
+  if (text_of(via_binary) != once) return {true, "text -> binary -> text changed it"};
   return {true, ""};
 }
 

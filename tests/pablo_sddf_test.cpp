@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "pablo/binsddf.hpp"
 #include "pablo/collector.hpp"
 #include "pablo/sddf.hpp"
 #include "sim/engine.hpp"
@@ -223,6 +226,22 @@ TEST(Sddf, RejectsOutOfOrderFileTable) {
       "#SDDF-IO 1\n#fields start_ns duration_ns node file op offset bytes\n"
       "#file 1 b\n";
   EXPECT_THROW(from_sddf_string(text), std::runtime_error);
+}
+
+TEST(Sddf, RejectsFileNamesTheBinaryDialectRejects) {
+  // A whitespace-delimited token can still hold control bytes and DEL.  The
+  // binary decoder rejects those names, so accepting them here would let a
+  // text trace convert to a binary trace that does not decode.
+  const std::string head = "#SDDF-IO 1\n#fields start_ns duration_ns node file op offset bytes\n";
+  for (const std::string name : {"ctl\x01", "\x02", "bell\x07", "del\x7f", "esc\x1b[0m"}) {
+    EXPECT_THROW(from_sddf_string(head + "#file 0 " + name + "\n"), std::runtime_error) << name;
+    EXPECT_FALSE(is_portable_file_name(name)) << name;
+  }
+  // Printable names, including UTF-8 bytes, still parse and convert.
+  const auto tf = from_sddf_string(head + "#file 0 caf\xc3\xa9\n#file 1 dir/f-1.dat\n");
+  const std::vector<std::string> names{"caf\xc3\xa9", "dir/f-1.dat"};
+  EXPECT_EQ(tf.file_names, names);
+  EXPECT_EQ(from_binary_sddf(to_binary_sddf(tf.file_names, {})).file_names, names);
 }
 
 }  // namespace

@@ -45,9 +45,9 @@
 // `--capture-mode spans` additionally runs an ESCAT experiment (healthy and
 // under the degraded-disk fault plan) with causal tracing on, comparing the
 // ordered `#span` stream and the critical-path attribution fingerprint
-// byte-for-byte across two runs — and across capture modes (retained
-// vectors vs streaming-only), since the bounded fold must observe exactly
-// the spans the vector path retains.
+// byte-for-byte across two runs — and checks the streaming-only run's fold
+// against the batch `obs::critical_path()` of the retained span vector, the
+// fold-equals-batch proof for full-size faulted runs.
 
 #include <cstdint>
 #include <cstdio>
@@ -314,13 +314,15 @@ int main(int argc, char** argv) {
       const auto r1 = sio::core::run_escat(cfg, plan, topt);
       const auto r2 = sio::core::run_escat(cfg, plan, topt);
       check(what, span_fingerprint(r1), span_fingerprint(r2), failures);
-      // Streaming-only capture drops the span vector but must fold the
-      // identical attribution report.
+      // Streaming-only capture drops the span vector, so its fold must land
+      // on the report the batch oracle computes from r1's retained spans.
       sio::core::TraceOptions slim = topt;
       slim.retain_events = false;
       const auto r3 = sio::core::run_escat(cfg, plan, slim);
+      sio::core::RunResult batch;
+      batch.critical_path = sio::obs::critical_path(r1.span_events);
       std::ostringstream a, b;
-      a << r1.critical_path.fingerprint() << "\n" << r1.critical_path_table();
+      a << batch.critical_path.fingerprint() << "\n" << batch.critical_path_table();
       b << r3.critical_path.fingerprint() << "\n" << r3.critical_path_table();
       check((std::string(what) + " [retained vs streaming-only fold]").c_str(), a.str(), b.str(),
             failures);
