@@ -37,42 +37,41 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
+UnitLedger::Unit* UnitLedger::find(std::uint32_t file, std::uint64_t unit) const {
+  UnitSlot* s = units_.find(file, unit);
+  return s != nullptr && s->ledger.live ? &s->ledger : nullptr;
+}
+
+UnitLedger::Unit& UnitLedger::get(std::uint32_t file, std::uint64_t unit) {
+  Unit& u = units_.slot(file, unit).ledger;
+  u.live = true;
+  return u;
+}
+
 void UnitLedger::ack(std::uint32_t file, std::uint64_t unit, std::uint64_t offset,
                      std::uint64_t len, std::uint64_t op_id) {
   if (len == 0) return;
-  Unit& u = units_[{file, unit}];
+  Unit& u = get(file, unit);
   insert_span(u.acked, offset, offset + len, op_id);
   insert_span(u.resident, offset, offset + len, op_id);
 }
 
 void UnitLedger::durable(std::uint32_t file, std::uint64_t unit) {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end()) return;
-  merge_spans(it->second.on_disk, it->second.resident, ~std::uint64_t{0});
-  heal_overlaps(it->second, it->second.resident, ~std::uint64_t{0});
-  it->second.torn = false;
+  if (Unit* u = find(file, unit)) write_back(*u, u->resident, ~std::uint64_t{0}, /*torn=*/false);
 }
 
 void UnitLedger::torn(std::uint32_t file, std::uint64_t unit, std::uint64_t prefix) {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end()) return;
-  merge_spans(it->second.on_disk, it->second.resident, prefix);
-  heal_overlaps(it->second, it->second.resident, prefix);
-  it->second.torn = true;
+  if (Unit* u = find(file, unit)) write_back(*u, u->resident, prefix, /*torn=*/true);
 }
 
 void UnitLedger::redone(std::uint32_t file, std::uint64_t unit) {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end()) return;
-  merge_spans(it->second.on_disk, it->second.acked, ~std::uint64_t{0});
-  heal_overlaps(it->second, it->second.acked, ~std::uint64_t{0});
-  it->second.torn = false;
+  if (Unit* u = find(file, unit)) write_back(*u, u->acked, ~std::uint64_t{0}, /*torn=*/false);
 }
 
 void UnitLedger::observe_durable(std::uint32_t file, std::uint64_t unit, std::uint64_t offset,
                                  std::uint64_t len) {
   if (len == 0) return;
-  Unit& u = units_[{file, unit}];  // created on first observation
+  Unit& u = get(file, unit);  // created on first observation
   // Only never-written units: for acked data, durability is decided by
   // write-backs alone — a fetch of a unit whose dirty spans a crash dropped
   // must not launder the loss into "durable".
@@ -82,103 +81,98 @@ void UnitLedger::observe_durable(std::uint32_t file, std::uint64_t unit, std::ui
 
 std::uint64_t UnitLedger::rot(std::uint32_t file, std::uint64_t unit, std::uint64_t offset,
                               std::uint64_t len) {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end() || len == 0) return 0;
-  Unit& u = it->second;
+  Unit* u = find(file, unit);
+  if (u == nullptr || len == 0) return 0;
   const std::uint64_t lo = offset;
   const std::uint64_t hi = offset + len;
   std::uint64_t fresh = 0;
   // Clip the rot window to what is actually durable, span by span, and count
   // only bytes that were not already corrupt.
-  for (const auto& [begin, span] : u.on_disk) {
+  for (const auto& [begin, span] : u->on_disk) {
     const std::uint64_t b = std::max(begin, lo);
     const std::uint64_t e = std::min(span.end, hi);
     if (b >= e) continue;
-    fresh += (e - b) - overlap_bytes(u.corrupt, b, e);
-    insert_span(u.corrupt, b, e, /*op=*/0);
+    fresh += (e - b) - overlap_bytes(u->corrupt, b, e);
+    insert_span(u->corrupt, b, e, /*op=*/0);
   }
   return fresh;
 }
 
 std::uint64_t UnitLedger::mark_stale(std::uint32_t file, std::uint64_t unit) {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end()) return 0;
-  Unit& u = it->second;
+  Unit* u = find(file, unit);
+  if (u == nullptr) return 0;
   std::uint64_t fresh = 0;
-  for (const auto& [begin, span] : u.on_disk) {
-    fresh += (span.end - begin) - overlap_bytes(u.corrupt, begin, span.end);
-    insert_span(u.corrupt, begin, span.end, /*op=*/0);
+  for (const auto& [begin, span] : u->on_disk) {
+    fresh += (span.end - begin) - overlap_bytes(u->corrupt, begin, span.end);
+    insert_span(u->corrupt, begin, span.end, /*op=*/0);
   }
-  if (!u.corrupt.empty()) u.stale = true;
+  if (!u->corrupt.empty()) u->stale = true;
   return fresh;
 }
 
 std::uint64_t UnitLedger::repair(std::uint32_t file, std::uint64_t unit) {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end()) return 0;
-  Unit& u = it->second;
-  if (u.stale) return 0;  // parity matches the wrong bytes; nothing to regenerate from
-  const std::uint64_t cleared = clipped(u.corrupt, ~std::uint64_t{0}).first;
-  u.corrupt.clear();
+  Unit* u = find(file, unit);
+  if (u == nullptr) return 0;
+  if (u->stale) return 0;  // parity matches the wrong bytes; nothing to regenerate from
+  const std::uint64_t cleared = clipped(u->corrupt, ~std::uint64_t{0}).first;
+  u->corrupt.clear();
   return cleared;
 }
 
 std::uint64_t UnitLedger::corrupt_overlap(std::uint32_t file, std::uint64_t unit,
                                           std::uint64_t offset, std::uint64_t len) const {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end() || len == 0) return 0;
-  return overlap_bytes(it->second.corrupt, offset, offset + len);
+  const Unit* u = find(file, unit);
+  if (u == nullptr || len == 0) return 0;
+  return overlap_bytes(u->corrupt, offset, offset + len);
 }
 
 std::uint64_t UnitLedger::unit_corrupt_bytes(std::uint32_t file, std::uint64_t unit) const {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end()) return 0;
-  return clipped(it->second.corrupt, ~std::uint64_t{0}).first;
+  const Unit* u = find(file, unit);
+  if (u == nullptr) return 0;
+  return clipped(u->corrupt, ~std::uint64_t{0}).first;
 }
 
 bool UnitLedger::unit_stale(std::uint32_t file, std::uint64_t unit) const {
-  const auto it = units_.find({file, unit});
-  return it != units_.end() && it->second.stale;
+  const Unit* u = find(file, unit);
+  return u != nullptr && u->stale;
 }
 
 std::uint64_t UnitLedger::total_corrupt_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [key, unit] : units_) total += clipped(unit.corrupt, ~std::uint64_t{0}).first;
+  units_.for_each([&](const UnitSlot& s) {
+    total += clipped(s.ledger.corrupt, ~std::uint64_t{0}).first;
+  });
   return total;
 }
 
 std::uint64_t UnitLedger::corrupt_unit_count() const {
   std::uint64_t n = 0;
-  for (const auto& [key, unit] : units_) {
-    if (!unit.corrupt.empty()) ++n;
-  }
+  units_.for_each([&](const UnitSlot& s) { n += s.ledger.corrupt.empty() ? 0 : 1; });
   return n;
 }
 
 std::uint64_t UnitLedger::stale_unit_count() const {
   std::uint64_t n = 0;
-  for (const auto& [key, unit] : units_) {
-    if (unit.stale) ++n;
-  }
+  units_.for_each([&](const UnitSlot& s) { n += s.ledger.stale ? 1 : 0; });
   return n;
 }
 
 void UnitLedger::drop_residency() {
-  for (auto& [key, unit] : units_) unit.resident.clear();
+  units_.for_each([](UnitSlot& s) { s.ledger.resident.clear(); });
 }
 
 std::uint64_t UnitLedger::acked_undurable_bytes(std::uint32_t file, std::uint64_t unit) const {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end()) return 0;
-  const std::uint64_t acked = clipped(it->second.acked, ~std::uint64_t{0}).first;
-  const std::uint64_t disk = clipped(it->second.on_disk, ~std::uint64_t{0}).first;
+  const Unit* u = find(file, unit);
+  if (u == nullptr) return 0;
+  const std::uint64_t acked = clipped(u->acked, ~std::uint64_t{0}).first;
+  const std::uint64_t disk = clipped(u->on_disk, ~std::uint64_t{0}).first;
   return acked > disk ? acked - disk : 0;
 }
 
 UnitLedger::UnitStatus UnitLedger::status(std::uint32_t file, std::uint64_t unit) const {
-  const auto it = units_.find({file, unit});
-  if (it == units_.end()) return {};
-  return status_of(it->second);
+  const Unit* u = find(file, unit);
+  if (u == nullptr) return {};
+  return status_of(*u);
 }
 
 void UnitLedger::insert_span(SpanMap& spans, std::uint64_t begin, std::uint64_t end,
@@ -188,7 +182,7 @@ void UnitLedger::insert_span(SpanMap& spans, std::uint64_t begin, std::uint64_t 
   if (it != spans.begin()) {
     auto prev = std::prev(it);
     if (prev->second.end > begin) {
-      if (prev->second.end > end) spans[end] = Span{prev->second.end, prev->second.op};
+      if (prev->second.end > end) spans[end] = LedgerSpan{prev->second.end, prev->second.op};
       prev->second.end = begin;
     }
   }
@@ -198,20 +192,13 @@ void UnitLedger::insert_span(SpanMap& spans, std::uint64_t begin, std::uint64_t 
     if (it->second.end <= end) {
       it = spans.erase(it);
     } else {
-      const Span tail = it->second;
+      const LedgerSpan tail = it->second;
       spans.erase(it);
       spans[end] = tail;
       break;
     }
   }
-  spans[begin] = Span{end, op};
-}
-
-void UnitLedger::merge_spans(SpanMap& dst, const SpanMap& src, std::uint64_t limit) {
-  for (const auto& [begin, span] : src) {
-    if (begin >= limit) break;
-    insert_span(dst, begin, std::min(span.end, limit), span.op);
-  }
+  spans[begin] = LedgerSpan{end, op};
 }
 
 std::uint64_t UnitLedger::remove_span(SpanMap& spans, std::uint64_t begin, std::uint64_t end) {
@@ -236,13 +223,15 @@ std::uint64_t UnitLedger::overlap_bytes(const SpanMap& spans, std::uint64_t begi
   return bytes;
 }
 
-void UnitLedger::heal_overlaps(Unit& u, const SpanMap& written, std::uint64_t limit) {
-  if (u.corrupt.empty()) return;
+void UnitLedger::write_back(Unit& u, const SpanMap& written, std::uint64_t limit, bool torn) {
   for (const auto& [begin, span] : written) {
     if (begin >= limit) break;
-    remove_span(u.corrupt, begin, std::min(span.end, limit));
+    const std::uint64_t end = std::min(span.end, limit);
+    insert_span(u.on_disk, begin, end, span.op);
+    remove_span(u.corrupt, begin, end);
   }
   if (u.corrupt.empty()) u.stale = false;
+  u.torn = torn;
 }
 
 std::pair<std::uint64_t, std::uint64_t> UnitLedger::clipped(const SpanMap& spans,

@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "pfs/unit_table.hpp"
+
 namespace sio::pfs {
 
 class SparseContent {
@@ -58,10 +60,12 @@ class SparseContent {
 /// write-back merges only a prefix; a full-journal redo merges the whole
 /// acked set (the log holds the payload).  The post-run scrub compares the
 /// acked and on-disk sides per unit.
+///
+/// The per-unit spans live in the LedgerUnit of each unit's UnitTable slot;
+/// the ledger owns no container of its own.
 class UnitLedger {
  public:
-  /// (file id, stripe-unit index) — the same key space as the server cache.
-  using Key = std::pair<std::uint32_t, std::uint64_t>;
+  explicit UnitLedger(UnitTable& units) : units_(units) {}
 
   struct UnitStatus {
     std::uint64_t acked_bytes = 0;    ///< bytes ever acknowledged (coverage)
@@ -144,27 +148,18 @@ class UnitLedger {
   /// Deterministic (key-ordered) iteration for the post-run scrub.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [key, unit] : units_) fn(key.first, key.second, status_of(unit));
+    units_.for_each([&](const UnitSlot& s) {
+      if (s.ledger.live) fn(s.file, s.unit, status_of(s.ledger));
+    });
   }
 
-  std::size_t tracked_units() const { return units_.size(); }
-
-  void clear() { units_.clear(); }
-
  private:
-  struct Span {
-    std::uint64_t end = 0;
-    std::uint64_t op = 0;
-  };
-  using SpanMap = std::map<std::uint64_t, Span>;  // begin -> (end, op); disjoint
-  struct Unit {
-    SpanMap acked;     ///< cumulative client view — never shrinks
-    SpanMap resident;  ///< what the server cache holds — cleared by a crash
-    SpanMap on_disk;   ///< what actually reached the array
-    bool torn = false;
-    SpanMap corrupt;   ///< durable spans holding wrong content
-    bool stale = false;  ///< corruption is parity-consistent (unrepairable)
-  };
+  using Unit = LedgerUnit;
+
+  /// The unit's ledger entry, or nullptr if the ledger does not track it.
+  Unit* find(std::uint32_t file, std::uint64_t unit) const;
+  /// The unit's ledger entry, created on first use.
+  Unit& get(std::uint32_t file, std::uint64_t unit);
 
   static void insert_span(SpanMap& spans, std::uint64_t begin, std::uint64_t end,
                           std::uint64_t op);
@@ -173,18 +168,17 @@ class UnitLedger {
   /// Bytes of `spans` falling inside [begin, end).
   static std::uint64_t overlap_bytes(const SpanMap& spans, std::uint64_t begin,
                                      std::uint64_t end);
-  /// A fresh write-back replaced `written` ranges on the array: any corrupt
-  /// span they cover is healed (and `stale` cleared once nothing is left).
-  static void heal_overlaps(Unit& u, const SpanMap& written, std::uint64_t limit);
-  /// Merges `src` spans below `limit` into `dst` (an idealized sector-
-  /// granular write: untouched `dst` ranges survive).
-  static void merge_spans(SpanMap& dst, const SpanMap& src, std::uint64_t limit);
+  /// The `written` spans below `limit` reached the array: they join the
+  /// on-disk set (an idealized sector-granular write: untouched ranges
+  /// survive) and heal any corrupt span they cover (`stale` clears once
+  /// nothing is left).  `torn` records whether the write stopped at `limit`.
+  static void write_back(Unit& u, const SpanMap& written, std::uint64_t limit, bool torn);
   /// Coverage + checksum of a span set clipped to [0, limit).
   static std::pair<std::uint64_t, std::uint64_t> clipped(const SpanMap& spans,
                                                          std::uint64_t limit);
   static UnitStatus status_of(const Unit& u);
 
-  std::map<Key, Unit> units_;
+  UnitTable& units_;
 };
 
 }  // namespace sio::pfs

@@ -2,17 +2,16 @@
 //
 // A file carries its access mode (set by gopen or setiomode and shared by
 // all openers), its size, the shared file pointer used by the
-// shared-pointer modes, the M_UNIX/M_LOG serialization token, and the lazy
-// stripe-unit -> disk-offset allocation map.  Optionally it stores actual
-// bytes (ContentPolicy::kStoreBytes) so tests can verify data round-trips
-// through every mode.
+// shared-pointer modes and the M_UNIX/M_LOG serialization token; the I/O
+// servers place its stripe units (IoServer::place).  Optionally it stores
+// actual bytes (ContentPolicy::kStoreBytes) so tests can verify data
+// round-trips through every mode.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "pablo/event.hpp"
 #include "pfs/content.hpp"
@@ -40,11 +39,6 @@ struct FileState {
 
   /// Byte-accurate contents (only with ContentPolicy::kStoreBytes).
   std::unique_ptr<SparseContent> content;
-
-  /// Lazily assigned location of each global stripe unit on its I/O node's
-  /// array (bump-allocated by the Pfs, so a file's units are mostly
-  /// contiguous per array).
-  std::unordered_map<std::uint64_t, std::uint64_t> unit_disk_offset;
 
   bool shared() const { return open_count > 1; }
 

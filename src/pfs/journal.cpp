@@ -4,16 +4,14 @@
 
 namespace sio::pfs {
 
-std::uint64_t Journal::append(std::uint64_t op_id, std::uint32_t file, std::uint64_t unit,
-                              std::uint64_t disk_offset, std::uint64_t len) {
-  (void)op_id;
+std::uint64_t Journal::append(std::uint32_t file, std::uint64_t unit, std::uint64_t len) {
   if (!enabled()) return 0;
-  auto& rec = open_[{file, unit}];
+  Record& rec = units_.slot(file, unit).journal;
   if (rec.lsn == 0) {
     rec.lsn = next_lsn_++;
     rec.file = file;
     rec.unit = unit;
-    rec.disk_offset = disk_offset;
+    ++open_;
   }
   rec.bytes += len;
   ++rec.ops;
@@ -24,18 +22,24 @@ std::uint64_t Journal::append(std::uint64_t op_id, std::uint32_t file, std::uint
   return logged;
 }
 
+bool Journal::retire(std::uint32_t file, std::uint64_t unit) {
+  UnitSlot* s = units_.find(file, unit);
+  if (s == nullptr || s->journal.lsn == 0) return false;
+  s->journal = Record{};
+  --open_;
+  return true;
+}
+
 void Journal::mark_applied(std::uint32_t file, std::uint64_t unit) {
-  if (!enabled()) return;
-  const auto it = open_.find({file, unit});
-  if (it == open_.end()) return;
-  ++counters_.trimmed;
-  open_.erase(it);
+  if (enabled() && retire(file, unit)) ++counters_.trimmed;
 }
 
 std::vector<Journal::Record> Journal::unapplied() const {
   std::vector<Record> out;
-  out.reserve(open_.size());
-  for (const auto& [key, rec] : open_) out.push_back(rec);
+  out.reserve(open_);
+  units_.for_each([&](const UnitSlot& s) {
+    if (s.journal.lsn != 0) out.push_back(s.journal);
+  });
   std::sort(out.begin(), out.end(),
             [](const Record& a, const Record& b) { return a.lsn < b.lsn; });
   return out;
@@ -43,14 +47,12 @@ std::vector<Journal::Record> Journal::unapplied() const {
 
 void Journal::note_redone(std::uint32_t file, std::uint64_t unit) {
   ++counters_.redone;
-  const auto it = open_.find({file, unit});
-  if (it != open_.end()) open_.erase(it);
+  retire(file, unit);
 }
 
 void Journal::note_detected_lost(std::uint32_t file, std::uint64_t unit) {
   ++counters_.detected_lost;
-  const auto it = open_.find({file, unit});
-  if (it != open_.end()) open_.erase(it);
+  retire(file, unit);
 }
 
 namespace {
@@ -68,7 +70,7 @@ std::uint64_t mix64(std::uint64_t& state) {
 }  // namespace
 
 int Journal::corrupt_open_payloads(std::uint64_t seed, int max_records) {
-  if (mode_ != JournalMode::kFull || max_records <= 0 || open_.empty()) return 0;
+  if (mode_ != JournalMode::kFull || max_records <= 0 || open_ == 0) return 0;
   // Walk the LSN-ordered open list and pick victims by seeded draw until the
   // budget is spent; clean records before the budget runs out stay clean.
   auto victims = unapplied();
@@ -77,9 +79,9 @@ int Journal::corrupt_open_payloads(std::uint64_t seed, int max_records) {
   for (const auto& rec : victims) {
     if (marked >= max_records) break;
     if ((mix64(state) & 1) != 0) continue;  // 50/50 per record, deterministic
-    auto it = open_.find({rec.file, rec.unit});
-    if (it == open_.end() || it->second.payload_corrupt) continue;
-    it->second.payload_corrupt = true;
+    Record& open = units_.find(rec.file, rec.unit)->journal;
+    if (open.payload_corrupt) continue;
+    open.payload_corrupt = true;
     ++marked;
   }
   return marked;

@@ -21,12 +21,12 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "pfs/types.hpp"
+#include "pfs/unit_table.hpp"
 
 namespace sio::pfs {
 
@@ -35,15 +35,9 @@ class Journal {
   /// Fixed size of an intent record (file, unit, disk offset, op id).
   static constexpr std::uint64_t kIntentBytes = 64;
 
-  struct Record {
-    std::uint64_t lsn = 0;          ///< log sequence number of first append
-    std::uint32_t file = 0;
-    std::uint64_t unit = 0;
-    std::uint64_t disk_offset = 0;  ///< where the unit lives on the array
-    std::uint64_t bytes = 0;        ///< acked payload folded into the record
-    std::uint64_t ops = 0;          ///< acked ops folded into the record
-    bool payload_corrupt = false;   ///< bit-rot hit the logged payload
-  };
+  /// A unit's open record lives in its UnitTable slot; the journal owns no
+  /// container of its own.
+  using Record = JournalRecord;
 
   struct Counters {
     std::uint64_t appends = 0;        ///< acks that hit the log
@@ -54,17 +48,15 @@ class Journal {
     std::uint64_t recoveries = 0;     ///< completed recovery passes
   };
 
-  explicit Journal(JournalMode mode = JournalMode::kOff) : mode_(mode) {}
+  Journal(UnitTable& units, JournalMode mode) : units_(units), mode_(mode) {}
 
   JournalMode mode() const { return mode_; }
-  void set_mode(JournalMode m) { mode_ = m; }
   bool enabled() const { return mode_ != JournalMode::kOff; }
 
   /// Folds an acknowledged buffered write into the unit's open record and
   /// returns the bytes that must be forced to the log before the ack (the
   /// caller charges the service time).  Returns 0 when the journal is off.
-  std::uint64_t append(std::uint64_t op_id, std::uint32_t file, std::uint64_t unit,
-                       std::uint64_t disk_offset, std::uint64_t len);
+  std::uint64_t append(std::uint32_t file, std::uint64_t unit, std::uint64_t len);
 
   /// The unit's write-back reached the array: retire its open record.
   void mark_applied(std::uint32_t file, std::uint64_t unit);
@@ -72,7 +64,7 @@ class Journal {
   /// Open (unapplied) records in log order — the recovery redo list.
   std::vector<Record> unapplied() const;
 
-  bool has_unapplied() const { return !open_.empty(); }
+  bool has_unapplied() const { return open_ != 0; }
 
   void note_redone(std::uint32_t file, std::uint64_t unit);
   void note_detected_lost(std::uint32_t file, std::uint64_t unit);
@@ -89,8 +81,12 @@ class Journal {
   const Counters& counters() const { return counters_; }
 
  private:
+  /// Retires the unit's open record, if it has one; returns whether it did.
+  bool retire(std::uint32_t file, std::uint64_t unit);
+
+  UnitTable& units_;
   JournalMode mode_;
-  std::map<std::pair<std::uint32_t, std::uint64_t>, Record> open_;  // (file, unit) -> record
+  std::size_t open_ = 0;  ///< open records
   std::uint64_t next_lsn_ = 1;
   Counters counters_;
 };

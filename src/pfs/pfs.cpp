@@ -22,7 +22,6 @@ Pfs::Pfs(hw::Machine& machine, pablo::Collector& collector, PfsConfig cfg)
       cfg_(cfg),
       meta_(machine.engine(), machine.config().os),
       layout_(machine.config().stripe_unit, machine.config().io_nodes),
-      next_disk_offset_(static_cast<std::size_t>(machine.config().io_nodes), 0),
       retry_rng_(machine.config().seed ^ 0x5EEDFA017ULL) {
   servers_.reserve(static_cast<std::size_t>(machine.config().io_nodes));
   for (int i = 0; i < machine.config().io_nodes; ++i) {
@@ -202,16 +201,8 @@ sim::Tick Pfs::meta_round_trip(hw::NodeId node) const {
   return 2 * net.sw_overhead + machine_.mesh().diameter() * net.per_hop;
 }
 
-std::uint64_t Pfs::disk_offset_of(FileState& file, std::uint64_t unit_index) {
-  auto it = file.unit_disk_offset.find(unit_index);
-  if (it != file.unit_disk_offset.end()) return it->second;
-  const int io = layout_.io_node_of(unit_index);
-  auto& bump = next_disk_offset_[static_cast<std::size_t>(io)];
-  const std::uint64_t off = bump;
-  bump += layout_.unit();
-  SIO_ASSERT(bump <= machine_.config().disk.capacity);
-  file.unit_disk_offset.emplace(unit_index, off);
-  return off;
+std::uint64_t Pfs::disk_offset_of(const FileState& file, std::uint64_t unit_index) {
+  return server(layout_.io_node_of(unit_index)).place(file.id, unit_index);
 }
 
 sim::Task<Pfs::Attempt> Pfs::segment_attempt(hw::NodeId node, FileState* file, StripeSegment seg,
@@ -219,7 +210,9 @@ sim::Task<Pfs::Attempt> Pfs::segment_attempt(hw::NodeId node, FileState* file, S
                                              sim::Tick deadline_left, obs::SpanContext span) {
   auto& engine = machine_.engine();
   auto& net = machine_.network();
-  const std::uint64_t unit_off = disk_offset_of(*file, seg.unit_index);
+  // Placed when the client issues the request, so each array's layout
+  // follows request order even when requests arrive out of order.
+  disk_offset_of(*file, seg.unit_index);
   const UnitKey key{file->id, seg.unit_index};
   constexpr std::uint64_t kHeader = 64;  // request/ack control message size
 
@@ -239,8 +232,7 @@ sim::Task<Pfs::Attempt> Pfs::segment_attempt(hw::NodeId node, FileState* file, S
   const OpCtx ctx{node, op_id, deadline_left, span};
   qos::Admission adm;
   if (is_write) {
-    adm = co_await server(seg.io_node)
-              .write(key, unit_off, seg.offset_in_unit, seg.length, buffered, ctx);
+    adm = co_await server(seg.io_node).write(key, seg.offset_in_unit, seg.length, buffered, ctx);
   } else {
     // How many further units of this file live on the same I/O node —
     // bounds server-side prefetch so it never runs past the file.
@@ -252,7 +244,7 @@ sim::Task<Pfs::Attempt> Pfs::segment_attempt(hw::NodeId node, FileState* file, S
                              static_cast<std::uint64_t>(layout_.io_nodes()));
     }
     adm = co_await server(seg.io_node)
-              .read(key, unit_off, seg.offset_in_unit, seg.length, buffered, cap, ctx);
+              .read(key, seg.offset_in_unit, seg.length, buffered, cap, ctx);
   }
 
   if (adm.verdict != qos::Verdict::kAdmitted) {

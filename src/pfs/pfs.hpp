@@ -116,8 +116,8 @@ class Pfs {
   /// in tests; not part of the traced workload).
   sim::Task<void> flush_servers();
 
-  /// Disk location of a stripe unit, bump-allocated on first touch.
-  std::uint64_t disk_offset_of(FileState& file, std::uint64_t unit_index);
+  /// Disk location of a stripe unit, placed by its I/O server on first touch.
+  std::uint64_t disk_offset_of(const FileState& file, std::uint64_t unit_index);
 
   // ---- aggregate statistics ----
   std::uint64_t bytes_read() const { return bytes_read_; }
@@ -193,7 +193,6 @@ class Pfs {
   // Ordered by path so any future iteration (listing, whole-FS flush, dump)
   // is deterministic; std::less<> enables string_view lookups without a copy.
   std::map<std::string, std::unique_ptr<FileState>, std::less<>> files_;
-  std::vector<std::uint64_t> next_disk_offset_;  // per-I/O-node bump allocator
 
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;

@@ -20,14 +20,24 @@ sim::Task<void> IoServer::wait_if_crashed() {
   }
 }
 
-void IoServer::emit_loss(std::uint32_t file, std::uint64_t unit, bool torn) {
+UnitSlot& IoServer::placed(std::uint32_t file, std::uint64_t unit) {
+  UnitSlot& s = units_.slot(file, unit);
+  if (s.disk_offset == UnitSlot::kUnplaced) {
+    s.disk_offset = next_offset_;
+    next_offset_ += stripe_unit_;
+    SIO_ASSERT(next_offset_ <= disk_.config().capacity);
+  }
+  return s;
+}
+
+void IoServer::emit_loss(const UnitSlot& s, bool torn) {
   if (collector_ == nullptr) return;
   pablo::LossEvent ev;
   ev.at = engine_.now();
   ev.target = id_;
-  ev.file = file;
-  ev.offset = unit * stripe_unit_;
-  ev.bytes = ledger_.acked_undurable_bytes(file, unit);
+  ev.file = s.file;
+  ev.offset = s.unit * stripe_unit_;
+  ev.bytes = ledger_.acked_undurable_bytes(s.file, s.unit);
   ev.torn = torn ? 1 : 0;
   collector_->record_loss(ev);
 }
@@ -40,18 +50,20 @@ void IoServer::crash(bool torn) {
   // applied only a deterministic prefix of the unit (half the stripe unit,
   // rounded down to the RAID-3 granule).  The write-back coroutine sees
   // `wb_.torn` when its access returns and skips the durability marking.
-  if (torn && wb_.active && !wb_.torn) {
+  if (torn && wb_.slot != nullptr && !wb_.torn) {
     const std::uint64_t granule = disk_.config().granule;
     const std::uint64_t half = stripe_unit_ / 2;
     const std::uint64_t prefix = granule > 0 ? half / granule * granule : half;
-    ledger_.torn(wb_.file, wb_.unit, prefix);
+    ledger_.torn(wb_.slot->file, wb_.slot->unit, prefix);
     ++torn_units_;
     wb_.torn = true;
-    emit_loss(wb_.file, wb_.unit, /*torn=*/true);
+    emit_loss(*wb_.slot, /*torn=*/true);
   }
   lost_dirty_ += dirty_.size();
   // One #loss record per dropped dirty unit, in FIFO (oldest-dirty) order.
-  for (const auto& key : dirty_) emit_loss(key.file, key.unit, /*torn=*/false);
+  for (const UnitSlot* d = dirty_.front(); d != nullptr; d = dirty_.next(*d)) {
+    emit_loss(*d, /*torn=*/false);
+  }
   // A crash while a recovery pass is redoing records aborts the pass; the
   // next restart resumes from whatever is still unapplied.
   if (was_crashed && recovering_) {
@@ -65,10 +77,12 @@ void IoServer::crash(bool torn) {
       collector_->record_fault(f);
     }
   }
-  cache_.clear();
+  for (UnitSlot* s = lru_.front(); s != nullptr; s = lru_.next(*s)) {
+    s->resident = s->dirty = s->tainted = false;
+  }
   lru_.clear();
   dirty_.clear();
-  last_unit_.clear();
+  units_.forget_runs();
   completed_.clear();
   // The cache copies are gone: spans not yet on the array stay undurable
   // unless a full-journal redo restores them.
@@ -141,23 +155,17 @@ void IoServer::abort_op(std::uint64_t op_id, const std::shared_ptr<sim::Event>& 
   done->set();
 }
 
-sim::Tick IoServer::estimate_read(const UnitKey& key, std::uint64_t unit_disk_offset,
-                                  std::uint64_t offset_in_unit, std::uint64_t len,
-                                  bool buffered) const {
+sim::Tick IoServer::estimate(const UnitSlot& s, std::uint64_t offset_in_unit, std::uint64_t len,
+                             bool buffered, bool write) const {
   if (!buffered) {
-    return svc(cfg_.miss_setup) + disk_.service_time(unit_disk_offset + offset_in_unit, len);
+    return svc(cfg_.miss_setup) + disk_.service_time(s.disk_offset + offset_in_unit, len);
   }
-  if (cache_.find(key) != cache_.end()) return svc(cfg_.hit_service);
-  return svc(cfg_.miss_setup) + disk_.service_time(unit_disk_offset, stripe_unit_);
-}
-
-sim::Tick IoServer::estimate_write(std::uint64_t unit_disk_offset, std::uint64_t offset_in_unit,
-                                   std::uint64_t len, bool buffered) const {
-  if (!buffered) {
-    return svc(cfg_.miss_setup) + disk_.service_time(unit_disk_offset + offset_in_unit, len);
+  if (write) {
+    return svc(cfg_.write_absorb +
+               static_cast<sim::Tick>(static_cast<double>(len) / cfg_.absorb_bytes_per_tick));
   }
-  return svc(cfg_.write_absorb +
-             static_cast<sim::Tick>(static_cast<double>(len) / cfg_.absorb_bytes_per_tick));
+  if (s.resident) return svc(cfg_.hit_service);
+  return svc(cfg_.miss_setup) + disk_.service_time(s.disk_offset, stripe_unit_);
 }
 
 void IoServer::note_cpu_queue() {
@@ -201,7 +209,7 @@ sim::Task<void> IoServer::recover(std::uint64_t epoch) {
       // Redo the whole unit from the logged payload.  Only a *completed*
       // redo retires the record, so an interrupted pass re-redoes it —
       // exactly once per record across however many attempts it takes.
-      const bool applied = co_await write_back(rec.file, rec.unit, rec.disk_offset);
+      const bool applied = co_await write_back(units_.slot(rec.file, rec.unit));
       if (applied) {
         // The log holds the payload of every acked write folded into the
         // record, so the redo restores the unit's entire acked set — not
@@ -238,45 +246,22 @@ sim::Task<void> IoServer::recover(std::uint64_t epoch) {
   restart_ev_->set();
 }
 
-bool IoServer::lookup(const UnitKey& key) { return cache_.find(key) != cache_.end(); }
-
-void IoServer::touch(const UnitKey& key) {
-  auto it = cache_.find(key);
-  SIO_ASSERT(it != cache_.end());
-  lru_.erase(it->second.lru_pos);
-  lru_.push_front(key);
-  it->second.lru_pos = lru_.begin();
-}
-
-void IoServer::insert(const UnitKey& key, std::uint64_t disk_offset, bool dirty) {
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    touch(key);
-    if (dirty && !it->second.dirty) {
-      it->second.dirty = true;
-      dirty_.push_back(key);
-    }
-    return;
+void IoServer::insert(UnitSlot& s, bool dirty) {
+  if (s.resident) lru_.erase(s);
+  s.resident = true;
+  lru_.push_back(s);
+  if (dirty && !s.dirty) {
+    s.dirty = true;
+    dirty_.push_back(s);
   }
-  lru_.push_front(key);
-  CacheEntry entry;
-  entry.lru_pos = lru_.begin();
-  entry.disk_offset = disk_offset;
-  entry.dirty = dirty;
-  cache_.emplace(key, entry);
-  if (dirty) dirty_.push_back(key);
 }
 
-sim::Task<bool> IoServer::write_back(std::uint32_t file, std::uint64_t unit,
-                                     std::uint64_t disk_offset) {
+sim::Task<bool> IoServer::write_back(UnitSlot& s) {
   // All write-backs run under the CPU mutex and complete their array access
   // before releasing it, so the single slot can never be overwritten while
   // a transfer is in flight.
-  wb_.file = file;
-  wb_.unit = unit;
-  wb_.active = true;
-  wb_.torn = false;
-  co_await disk_.access(disk_offset, stripe_unit_, /*write=*/true);
+  wb_ = WriteBack{&s, false};
+  co_await disk_.access(s.disk_offset, stripe_unit_, /*write=*/true);
   // Unless a torn crash clipped the transfer, the DMA completed and the
   // unit's acked contents are on the array — even if a plain crash wiped
   // the cache meanwhile.
@@ -284,72 +269,65 @@ sim::Task<bool> IoServer::write_back(std::uint32_t file, std::uint64_t unit,
   if (applied) {
     const WbCorruptWindow* w = wb_corrupt_active();
     if (w == nullptr) {
-      ledger_.durable(file, unit);
-      last_wb_ = UnitKey{file, unit};
-      has_last_wb_ = true;
-    } else if (w->phantom || !has_last_wb_ ||
-               (last_wb_.file == file && last_wb_.unit == unit)) {
+      ledger_.durable(s.file, s.unit);
+      last_wb_ = &s;
+    } else if (w->phantom || last_wb_ == nullptr || last_wb_ == &s) {
       // Phantom write-back: the server believes the DMA completed (it will
       // trim the journal record below), but the array never saw the bytes.
       // Old durable content is now wrong against the acked set — and the
       // stored checksum was updated to the *new* content, so verify-on-read
       // detects the mismatch, but parity matches the old bytes: stale.
-      const std::uint64_t stale = ledger_.mark_stale(file, unit);
+      const std::uint64_t stale = ledger_.mark_stale(s.file, s.unit);
       ++integ_.phantom_write_backs;
-      emit_integrity(pablo::IntegrityKind::kPhantomWrite, file, unit,
-                     stale != 0 ? stale : ledger_.acked_undurable_bytes(file, unit));
+      emit_integrity(pablo::IntegrityKind::kPhantomWrite, s.file, s.unit,
+                     stale != 0 ? stale : ledger_.acked_undurable_bytes(s.file, s.unit));
     } else {
       // Misdirected write-back: the bytes land on the previously written
       // unit's location, clobbering it, while the target keeps its old
       // content.  Both are wrong-but-parity-consistent.
-      const std::uint64_t victim = ledger_.mark_stale(last_wb_.file, last_wb_.unit);
-      ledger_.mark_stale(file, unit);
+      const std::uint64_t victim = ledger_.mark_stale(last_wb_->file, last_wb_->unit);
+      ledger_.mark_stale(s.file, s.unit);
       ++integ_.misdirected_write_backs;
-      emit_integrity(pablo::IntegrityKind::kMisdirectedWrite, last_wb_.file, last_wb_.unit,
+      emit_integrity(pablo::IntegrityKind::kMisdirectedWrite, last_wb_->file, last_wb_->unit,
                      victim);
     }
   }
-  wb_.active = false;
-  wb_.torn = false;
+  wb_ = WriteBack{};
   co_return applied;
 }
 
 sim::Task<void> IoServer::evict_if_needed() {
   while (lru_.size() > cfg_.cache_units) {
-    const UnitKey victim = lru_.back();
-    auto it = cache_.find(victim);
-    SIO_ASSERT(it != cache_.end());
-    if (it->second.dirty) {
+    UnitSlot& victim = *lru_.front();
+    if (victim.dirty) {
       // Write the victim back before dropping it.
-      const std::uint64_t off = it->second.disk_offset;
-      dirty_.remove(victim);
-      it->second.dirty = false;
-      const bool applied = co_await write_back(victim.file, victim.unit, off);
+      dirty_.erase(victim);
+      victim.dirty = false;
+      const bool applied = co_await write_back(victim);
       if (applied) journal_.mark_applied(victim.file, victim.unit);
       // A crash during the write-back wipes the whole cache; nothing left
       // for this pass to evict.
-      if (cache_.find(victim) == cache_.end()) continue;
+      if (!victim.resident) continue;
     }
-    lru_.pop_back();
-    cache_.erase(victim);
+    lru_.erase(victim);
+    victim.resident = false;
+    victim.tainted = false;
   }
 }
 
 sim::Task<void> IoServer::flush_oldest_dirty() {
-  if (dirty_.empty()) co_return;
-  const UnitKey key = dirty_.front();
-  dirty_.pop_front();
-  auto it = cache_.find(key);
-  if (it == cache_.end()) co_return;
-  it->second.dirty = false;
-  const std::uint64_t off = it->second.disk_offset;
-  const bool applied = co_await write_back(key.file, key.unit, off);
-  if (applied) journal_.mark_applied(key.file, key.unit);
+  if (dirty_.size() == 0) co_return;
+  UnitSlot& s = *dirty_.front();
+  dirty_.erase(s);
+  s.dirty = false;
+  const bool applied = co_await write_back(s);
+  if (applied) journal_.mark_applied(s.file, s.unit);
 }
 
-sim::Task<qos::Admission> IoServer::read(UnitKey key, std::uint64_t unit_disk_offset,
-                                         std::uint64_t offset_in_unit, std::uint64_t len,
-                                         bool buffered, int prefetch_cap, OpCtx ctx) {
+sim::Task<qos::Admission> IoServer::serve(UnitKey key, std::uint64_t offset_in_unit,
+                                          std::uint64_t len, bool buffered, bool write,
+                                          int prefetch_cap, OpCtx ctx) {
+  UnitSlot& slot = placed(key.file, key.unit);
   // Admission stage: crash parking, replay/coalescing lookup, and the QoS
   // front door — everything between arrival and the grant of server work.
   obs::SpanScope admit_span(ctx.span, obs::StageKind::kAdmit, ctx.node, id_);
@@ -368,7 +346,7 @@ sim::Task<qos::Admission> IoServer::read(UnitKey key, std::uint64_t unit_disk_of
   sim::Tick est = 0;
   sim::Tick granted_at = 0;
   if (qos_ != nullptr) {
-    est = estimate_read(key, unit_disk_offset, offset_in_unit, len, buffered);
+    est = estimate(slot, offset_in_unit, len, buffered, write);
     const qos::Admission adm =
         co_await qos_->admit(ctx.node, qos::OpClass::kData, est, ctx.deadline_left, ctx.op_id);
     if (adm.verdict != qos::Verdict::kAdmitted) {
@@ -383,7 +361,6 @@ sim::Task<qos::Admission> IoServer::read(UnitKey key, std::uint64_t unit_disk_of
   obs::SpanScope svc_span(ctx.span, obs::StageKind::kService, ctx.node, id_, len);
   {
     auto guard = co_await cpu_.scoped();
-    const std::uint64_t disk_offset = unit_disk_offset;
 
     if (!buffered) {
       ++unbuffered_;
@@ -392,32 +369,60 @@ sim::Task<qos::Admission> IoServer::read(UnitKey key, std::uint64_t unit_disk_of
         // Unbuffered access bypasses the cache and pays a raw array access;
         // RAID-3 rounds the transfer up to its granule internally.
         obs::SpanScope disk_span(svc_span.ctx(), obs::StageKind::kDisk, ctx.node, id_, len);
-        co_await disk_.access(unit_disk_offset + offset_in_unit, len, /*write=*/false);
+        co_await disk_.access(slot.disk_offset + offset_in_unit, len, write);
       }
-      observe_fetched(key, unit_disk_offset, offset_in_unit, len);
-      if (cfg_.integrity.enabled()) {
-        obs::SpanScope verify_span(svc_span.ctx(), obs::StageKind::kVerify, ctx.node, id_, len);
-        co_await verify_range(key, unit_disk_offset, offset_in_unit, len);
-      } else {
-        note_corrupt_served(key, offset_in_unit, len);
+      if (!write) {
+        observe_fetched(slot, offset_in_unit, len);
+        if (cfg_.integrity.enabled()) {
+          obs::SpanScope verify_span(svc_span.ctx(), obs::StageKind::kVerify, ctx.node, id_, len);
+          co_await verify(slot, offset_in_unit, len, /*cached=*/false);
+        } else {
+          note_corrupt_served(slot, offset_in_unit, len);
+        }
       }
-    } else if (lookup(key)) {
+    } else if (write) {
+      co_await engine_.delay(svc(cfg_.write_absorb +
+                                 static_cast<sim::Tick>(static_cast<double>(len) /
+                                                        cfg_.absorb_bytes_per_tick)));
+      // Write-ahead ordering: the journal record is forced to the log
+      // region before the write is applied to the cache (and long before
+      // the ack below).  With the journal off this adds neither state nor
+      // time and the path is byte-identical with the pre-journal model.
+      if (journal_.enabled()) {
+        const std::uint64_t logged = journal_.append(key.file, key.unit, len);
+        obs::SpanScope journal_span(svc_span.ctx(), obs::StageKind::kJournal, ctx.node, id_,
+                                    logged);
+        co_await engine_.delay(
+            svc(cfg_.journal_append_setup +
+                static_cast<sim::Tick>(static_cast<double>(logged) /
+                                       cfg_.journal_bytes_per_tick)));
+      }
+      insert(slot, /*dirty=*/true);
+      ledger_.ack(key.file, key.unit, offset_in_unit, len, ctx.op_id);
+      // A client write refreshes the cache copy: whatever taint the entry
+      // carried is superseded for serving purposes once this unit flushes,
+      // and the unit joins the scrubber/injector population here.
+      slot.tracked = true;
+      if (dirty_.size() > cfg_.dirty_limit) {
+        co_await flush_oldest_dirty();
+      }
+      co_await evict_if_needed();
+    } else if (slot.resident) {
       ++hits_;
-      touch(key);
+      insert(slot, /*dirty=*/false);
       // Hits advance the sequential detector too, so a run that alternates
       // between prefetched hits and misses keeps prefetching.
-      last_unit_[key.file] = key.unit;
+      units_.next_in_run(key.file) = key.unit + stripe_factor_;
       co_await engine_.delay(svc(cfg_.hit_service));
       // A tainted entry serves the corrupt bytes its fetch copied in: with a
       // checksum it is a *detected* stale serve, without one a silent ack.
-      const auto hit = cache_.find(key);
-      if (hit != cache_.end() && hit->second.tainted) {
+      if (slot.tainted) {
         if (cfg_.integrity.enabled()) {
           const std::uint64_t bad = ledger_.corrupt_overlap(key.file, key.unit, 0, stripe_unit_);
           ++integ_.stale_served;
           emit_integrity(pablo::IntegrityKind::kStaleServed, key.file, key.unit, bad);
         } else {
-          note_corrupt_served(key, offset_in_unit, len);
+          note_corrupt_served(slot, offset_in_unit, len);
         }
       }
     } else {
@@ -428,121 +433,40 @@ sim::Task<qos::Admission> IoServer::read(UnitKey key, std::uint64_t unit_disk_of
       // sequential run for the file, fetch extra units in the same array
       // access.  On this server, consecutive units of one file differ by the
       // stripe factor in global index but are contiguous on the local array.
-      int extra = 0;
-      if (cfg_.prefetch_units > 0) {
-        auto it = last_unit_.find(key.file);
-        if (it != last_unit_.end() && key.unit == it->second + stripe_factor_) {
-          extra = std::min(cfg_.prefetch_units, prefetch_cap);
-        }
-      }
-      last_unit_[key.file] = key.unit;
+      std::uint64_t& run = units_.next_in_run(key.file);
+      const int extra =
+          cfg_.prefetch_units > 0 && key.unit == run ? std::min(cfg_.prefetch_units, prefetch_cap)
+                                                     : 0;
+      run = key.unit + stripe_factor_;
+      const auto fetched = [&](int i) -> UnitSlot& {
+        return placed(key.file, key.unit + static_cast<std::uint64_t>(i) * stripe_factor_);
+      };
 
       const std::uint64_t fetch_bytes = stripe_unit_ * static_cast<std::uint64_t>(1 + extra);
       {
         obs::SpanScope disk_span(svc_span.ctx(), obs::StageKind::kDisk, ctx.node, id_,
                                  fetch_bytes);
-        co_await disk_.access(disk_offset, fetch_bytes, /*write=*/false);
+        co_await disk_.access(slot.disk_offset, fetch_bytes, /*write=*/false);
       }
-      insert(key, disk_offset, /*dirty=*/false);
+      insert(slot, /*dirty=*/false);
       for (int i = 1; i <= extra; ++i) {
-        const auto step = static_cast<std::uint64_t>(i);
-        insert(UnitKey{key.file, key.unit + step * stripe_factor_},
-               disk_offset + step * stripe_unit_,
-               /*dirty=*/false);
+        insert(fetched(i), /*dirty=*/false);
         ++prefetched_;
       }
       // Every unit the fetch brought in is checksummed (or, with integrity
       // off, silently copies whatever the array held — including rot).
       for (int i = 0; i <= extra; ++i) {
-        const auto step = static_cast<std::uint64_t>(i);
-        const UnitKey fkey{key.file, key.unit + step * stripe_factor_};
-        observe_fetched(fkey, disk_offset + step * stripe_unit_, 0, stripe_unit_);
+        UnitSlot& f = fetched(i);
+        observe_fetched(f, 0, stripe_unit_);
         if (cfg_.integrity.enabled()) {
           obs::SpanScope verify_span(svc_span.ctx(), obs::StageKind::kVerify, ctx.node, id_,
                                      stripe_unit_);
-          co_await verify_fetched(fkey, disk_offset + step * stripe_unit_);
-        } else if (ledger_.unit_corrupt_bytes(fkey.file, fkey.unit) > 0) {
-          const auto ent = cache_.find(fkey);
-          if (ent != cache_.end()) ent->second.tainted = true;
+          co_await verify(f, 0, stripe_unit_, /*cached=*/true);
+        } else if (f.resident && ledger_.unit_corrupt_bytes(f.file, f.unit) > 0) {
+          f.tainted = true;
         }
       }
-      if (!cfg_.integrity.enabled()) note_corrupt_served(key, offset_in_unit, len);
-      co_await evict_if_needed();
-    }
-    finish_op(ctx.op_id, done);
-  }
-  svc_span.close();
-  if (qos_ != nullptr) qos_->release(est, granted_at);
-  co_return qos::Admission{};
-}
-
-sim::Task<qos::Admission> IoServer::write(UnitKey key, std::uint64_t unit_disk_offset,
-                                          std::uint64_t offset_in_unit, std::uint64_t len,
-                                          bool buffered, OpCtx ctx) {
-  obs::SpanScope admit_span(ctx.span, obs::StageKind::kAdmit, ctx.node, id_);
-  co_await wait_if_crashed();
-  bool handled = false;
-  std::shared_ptr<sim::Event> done;
-  co_await begin_op(ctx.op_id, &handled, &done);
-  if (handled) {
-    admit_span.close();
-    co_return qos::Admission{};
-  }
-
-  sim::Tick est = 0;
-  sim::Tick granted_at = 0;
-  if (qos_ != nullptr) {
-    est = estimate_write(unit_disk_offset, offset_in_unit, len, buffered);
-    const qos::Admission adm =
-        co_await qos_->admit(ctx.node, qos::OpClass::kData, est, ctx.deadline_left, ctx.op_id);
-    if (adm.verdict != qos::Verdict::kAdmitted) {
-      abort_op(ctx.op_id, done);
-      admit_span.close();
-      co_return adm;
-    }
-    granted_at = adm.granted_at;
-  }
-  admit_span.close();
-  note_cpu_queue();
-  obs::SpanScope svc_span(ctx.span, obs::StageKind::kService, ctx.node, id_, len);
-  {
-    auto guard = co_await cpu_.scoped();
-    const std::uint64_t disk_offset = unit_disk_offset;
-
-    if (!buffered) {
-      ++unbuffered_;
-      co_await engine_.delay(svc(cfg_.miss_setup));
-      {
-        obs::SpanScope disk_span(svc_span.ctx(), obs::StageKind::kDisk, ctx.node, id_, len);
-        co_await disk_.access(unit_disk_offset + offset_in_unit, len, /*write=*/true);
-      }
-    } else {
-      co_await engine_.delay(svc(cfg_.write_absorb +
-                                 static_cast<sim::Tick>(static_cast<double>(len) /
-                                                        cfg_.absorb_bytes_per_tick)));
-      // Write-ahead ordering: the journal record is forced to the log
-      // region before the write is applied to the cache (and long before
-      // the ack below).  With the journal off this adds neither state nor
-      // time and the path is byte-identical with the pre-journal model.
-      if (journal_.enabled()) {
-        const std::uint64_t logged =
-            journal_.append(ctx.op_id, key.file, key.unit, disk_offset, len);
-        obs::SpanScope journal_span(svc_span.ctx(), obs::StageKind::kJournal, ctx.node, id_,
-                                    logged);
-        co_await engine_.delay(
-            svc(cfg_.journal_append_setup +
-                static_cast<sim::Tick>(static_cast<double>(logged) /
-                                       cfg_.journal_bytes_per_tick)));
-      }
-      insert(key, disk_offset, /*dirty=*/true);
-      ledger_.ack(key.file, key.unit, offset_in_unit, len, ctx.op_id);
-      // A client write refreshes the cache copy: whatever taint the entry
-      // carried is superseded for serving purposes once this unit flushes,
-      // and the scrubber/injector learn the unit's physical location here.
-      unit_locations_[{key.file, key.unit}] = disk_offset;
-      if (dirty_.size() > cfg_.dirty_limit) {
-        co_await flush_oldest_dirty();
-      }
+      if (!cfg_.integrity.enabled()) note_corrupt_served(slot, offset_in_unit, len);
       co_await evict_if_needed();
     }
     finish_op(ctx.op_id, done);
@@ -555,7 +479,7 @@ sim::Task<qos::Admission> IoServer::write(UnitKey key, std::uint64_t unit_disk_o
 sim::Task<void> IoServer::flush_all() {
   co_await wait_if_crashed();
   auto guard = co_await cpu_.scoped();
-  while (!dirty_.empty()) {
+  while (dirty_.size() != 0) {
     co_await flush_oldest_dirty();
   }
 }

@@ -45,13 +45,9 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
-
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "machine/disk.hpp"
@@ -61,6 +57,7 @@
 #include "pfs/integrity.hpp"
 #include "pfs/journal.hpp"
 #include "pfs/types.hpp"
+#include "pfs/unit_table.hpp"
 #include "qos/qos.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -119,36 +116,17 @@ struct ServerConfig {
   IntegrityConfig integrity{};
 };
 
-/// Cache key: (file id, global stripe-unit index).
+/// A stripe unit: (file id, global stripe-unit index).
 struct UnitKey {
   std::uint32_t file = 0;
   std::uint64_t unit = 0;
-
-  friend bool operator==(const UnitKey&, const UnitKey&) = default;
-};
-
-struct UnitKeyHash {
-  std::size_t operator()(const UnitKey& k) const {
-    // Mix file and unit through a SplitMix64-style finalizer.  A plain
-    // `(file << 40) ^ unit` collides whenever two keys differ only in bits
-    // that the shift overlaps (e.g. {file a, unit u} vs {file a^1, unit
-    // u^(1<<40)}), and feeds poorly-dispersed values to the identity
-    // std::hash; the multiply/xor-shift cascade breaks both patterns up.
-    std::uint64_t x = (static_cast<std::uint64_t>(k.file) * 0x9E3779B97F4A7C15ull) ^ k.unit;
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
 };
 
 class IoServer {
  public:
-  /// `stripe_factor` is the total number of I/O nodes: consecutive stripe
-  /// units of one file seen by *this* server differ by that much in their
-  /// global unit index (used by the sequential-prefetch detector).
+  /// `stripe_factor` is the total number of I/O nodes: server `id` holds the
+  /// global stripe units with `unit % stripe_factor == id`, so consecutive
+  /// units of one file seen by *this* server differ by the stripe factor.
   IoServer(sim::Engine& engine, int id, const hw::DiskConfig& disk_cfg, std::uint64_t stripe_unit,
            int stripe_factor, const ServerConfig& cfg)
       : engine_(engine),
@@ -158,33 +136,48 @@ class IoServer {
         stripe_factor_(static_cast<std::uint64_t>(stripe_factor)),
         disk_(engine, disk_cfg),
         cpu_(engine),
-        journal_(cfg.journal) {}
+        units_(stripe_factor_, static_cast<std::uint64_t>(id)),
+        ledger_(units_),
+        journal_(units_, cfg.journal) {}
+
+  IoServer(const IoServer&) = delete;
+  IoServer& operator=(const IoServer&) = delete;
 
   int id() const { return id_; }
   hw::Raid3Disk& disk() { return disk_; }
   const ServerConfig& config() const { return cfg_; }
 
-  /// Read of [offset_in_unit, +len) of a stripe unit.  `unit_disk_offset`
-  /// is where the unit starts on this node's array.  Buffered misses fetch
-  /// the whole unit; unbuffered reads bypass the cache and pay a raw array
-  /// access at the exact position.  `prefetch_cap` bounds how many units
-  /// beyond this one may be prefetched (the client derives it from the
-  /// file's remaining extent on this node, so prefetch never overshoots).
+  /// Where the unit starts on this node's array.  The first call places it
+  /// at the array's bump pointer; a unit keeps its place for good.  The
+  /// client places each unit when it first issues a request for it, so the
+  /// layout follows request order, not arrival order.
+  std::uint64_t place(std::uint32_t file, std::uint64_t unit) {
+    return placed(file, unit).disk_offset;
+  }
+
+  /// Read of [offset_in_unit, +len) of a stripe unit (placed on first use).
+  /// Buffered misses fetch the whole unit; unbuffered reads bypass the cache
+  /// and pay a raw array access at the exact position.  `prefetch_cap`
+  /// bounds how many units beyond this one may be prefetched (the client
+  /// derives it from the file's remaining extent on this node, so prefetch
+  /// never overshoots).
   /// `ctx` carries the client's node/op-id/deadline; with QoS attached the
   /// returned Admission reports whether the op was served or turned away
   /// (rejected/shed) with a retry-after credit.  Without QoS every op is
   /// served and the returned Admission is the default (admitted).
-  sim::Task<qos::Admission> read(UnitKey key, std::uint64_t unit_disk_offset,
-                                 std::uint64_t offset_in_unit, std::uint64_t len, bool buffered,
-                                 int prefetch_cap = 1 << 20, OpCtx ctx = {});
+  sim::Task<qos::Admission> read(UnitKey key, std::uint64_t offset_in_unit, std::uint64_t len,
+                                 bool buffered, int prefetch_cap = 1 << 20, OpCtx ctx = {}) {
+    return serve(key, offset_in_unit, len, buffered, /*write=*/false, prefetch_cap, ctx);
+  }
 
   /// Write into a stripe unit; buffered writes are absorbed into the
   /// write-back cache, unbuffered writes go straight to the array.  A tracked
   /// replay of an already-completed write is acknowledged without being
   /// applied twice.
-  sim::Task<qos::Admission> write(UnitKey key, std::uint64_t unit_disk_offset,
-                                  std::uint64_t offset_in_unit, std::uint64_t len, bool buffered,
-                                  OpCtx ctx = {});
+  sim::Task<qos::Admission> write(UnitKey key, std::uint64_t offset_in_unit, std::uint64_t len,
+                                  bool buffered, OpCtx ctx = {}) {
+    return serve(key, offset_in_unit, len, buffered, /*write=*/true, 0, ctx);
+  }
 
   /// Drains every dirty unit to the array.
   sim::Task<void> flush_all();
@@ -241,8 +234,8 @@ class IoServer {
   /// Whether the unit is currently dirty in the write-back cache (a scrub
   /// classifies such units as pending, not lost).
   bool unit_dirty(std::uint32_t file, std::uint64_t unit) const {
-    const auto it = cache_.find(UnitKey{file, unit});
-    return it != cache_.end() && it->second.dirty;
+    const UnitSlot* s = units_.find(file, unit);
+    return s != nullptr && s->dirty;
   }
 
   // ---- end-to-end integrity (implemented in integrity.cpp) ----
@@ -269,7 +262,7 @@ class IoServer {
   void set_rebuild_slot(sim::Semaphore* s) { rebuild_slot_ = s; }
 
   /// Makes reads register fetched input units with the ledger (and the
-  /// scrubber/injector location map) even when verification is off — how an
+  /// scrubber/injector population) even when verification is off — how an
   /// integrity=off corruption run keeps its omniscient bookkeeping.  Armed
   /// by the fault clock for plans that inject corruption; always on when
   /// `cfg.integrity.enabled()`.  Pure bookkeeping, costs no simulated time.
@@ -295,21 +288,12 @@ class IoServer {
   std::uint64_t torn_unit_count() const { return torn_units_; }
   /// Whether a unit write-back is in flight to the array right now — the
   /// window a torn crash can clip.
-  bool write_back_in_flight() const { return wb_.active; }
+  bool write_back_in_flight() const { return wb_.slot != nullptr; }
   /// Peak depth of the CPU service queue (holder + waiters) — with QoS
   /// attached this is bounded by the admission `service_slots`.
   std::size_t peak_cpu_queue() const { return peak_cpu_queue_; }
 
  private:
-  struct CacheEntry {
-    std::list<UnitKey>::iterator lru_pos;
-    std::uint64_t disk_offset = 0;
-    bool dirty = false;
-    /// Integrity=off only: the fetch that filled this entry copied corrupt
-    /// durable bytes into the cache, so hits serve them silently too.
-    bool tainted = false;
-  };
-
   sim::Engine& engine_;
   int id_;
   ServerConfig cfg_;
@@ -320,10 +304,11 @@ class IoServer {
   qos::ServerQos* qos_ = nullptr;
   std::size_t peak_cpu_queue_ = 0;
 
-  std::list<UnitKey> lru_;  // front = most recent
-  std::unordered_map<UnitKey, CacheEntry, UnitKeyHash> cache_;
-  std::list<UnitKey> dirty_;  // FIFO flush order
-  std::unordered_map<std::uint32_t, std::uint64_t> last_unit_;  // per-file sequential detector
+  /// Every unit this server ever placed or tracked, in (file, unit) order.
+  UnitTable units_;
+  std::uint64_t next_offset_ = 0;  ///< bump pointer of this node's array
+  UnitList<&UnitSlot::lru> lru_;      ///< resident units, front = least recent
+  UnitList<&UnitSlot::flush> dirty_;  ///< dirty units, FIFO flush order
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -352,8 +337,7 @@ class IoServer {
   // ---- crash consistency ----
   pablo::Collector* collector_ = nullptr;
   /// Acked-vs-durable bookkeeping.  Survives crashes by design: it models
-  /// the scrubber's omniscient view, costs no simulated time, and is never
-  /// iterated during a run (only by the post-run scrub, in key order).
+  /// the scrubber's omniscient view and costs no simulated time.
   UnitLedger ledger_;
   /// The write-ahead journal: a sequential-log region on this node's array,
   /// so its state also survives crashes.
@@ -364,9 +348,7 @@ class IoServer {
   /// tear the unit; the write-back coroutine checks `torn` after its array
   /// access to decide whether the unit became durable.
   struct WriteBack {
-    std::uint32_t file = 0;
-    std::uint64_t unit = 0;
-    bool active = false;
+    UnitSlot* slot = nullptr;  ///< the unit in flight (nullptr = none)
     bool torn = false;
   };
   WriteBack wb_;
@@ -381,24 +363,24 @@ class IoServer {
   };
   std::vector<WbCorruptWindow> wb_corrupt_;
   /// The last unit that completed a clean write-back — the victim a
-  /// misdirected write-back overwrites.
-  UnitKey last_wb_{};
-  bool has_last_wb_ = false;
-  /// Physical location of every unit this server ever placed, in key order —
-  /// the scrubber's sweep list and the bit-rot injector's target population.
-  /// Layout facts, not volatile state: survives crashes.
-  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> unit_locations_;
-  /// Scrub sweep cursor (resumes after the last visited key, wrapping).
-  std::pair<std::uint32_t, std::uint64_t> scrub_cursor_{~std::uint32_t{0}, ~std::uint64_t{0}};
-  /// Reads register fetched input units with the ledger/location map (see
-  /// set_integrity_tracking).
+  /// misdirected write-back overwrites (nullptr = none yet).
+  UnitSlot* last_wb_ = nullptr;
+  /// Scrub sweep cursor: the last unit visited (nullptr = start of table).
+  UnitSlot* scrub_cursor_ = nullptr;
+  /// Reads register fetched input units with the ledger and the scrub
+  /// population (see set_integrity_tracking).
   bool track_read_units_ = false;
+
+  /// The unit's slot, placed at the array's bump pointer on first use.
+  UnitSlot& placed(std::uint32_t file, std::uint64_t unit);
+  /// One client read or write: admission, then service under the CPU mutex.
+  sim::Task<qos::Admission> serve(UnitKey key, std::uint64_t offset_in_unit, std::uint64_t len,
+                                  bool buffered, bool write, int prefetch_cap, OpCtx ctx);
 
   /// Whether fetched units should be registered for integrity bookkeeping.
   bool integrity_tracking() const { return track_read_units_ || cfg_.integrity.enabled(); }
   /// Registers a fetched unit: its bytes exist durable on the array.
-  void observe_fetched(UnitKey key, std::uint64_t disk_offset, std::uint64_t offset_in_unit,
-                       std::uint64_t len);
+  void observe_fetched(UnitSlot& s, std::uint64_t offset_in_unit, std::uint64_t len);
 
   /// Checksum verification cost for `bytes` (setup + scan bandwidth).
   sim::Tick verify_cost(std::uint64_t bytes) const;
@@ -406,41 +388,41 @@ class IoServer {
   const WbCorruptWindow* wb_corrupt_active() const;
   void emit_integrity(pablo::IntegrityKind kind, std::uint32_t file, std::uint64_t unit,
                       std::uint64_t bytes);
-  /// Verify-on-read of one just-fetched cache unit (buffered path; the whole
-  /// unit was read).  Handles detection, on-the-fly regeneration, read-repair
-  /// and the silent-taint bookkeeping per the configured mode.
-  sim::Task<void> verify_fetched(UnitKey key, std::uint64_t disk_offset);
-  /// Verify-on-read of an unbuffered range access.
-  sim::Task<void> verify_range(UnitKey key, std::uint64_t disk_offset,
-                               std::uint64_t offset_in_unit, std::uint64_t len);
+  /// Verify-on-read of [offset_in_unit, +len) of a unit just read from the
+  /// array: `cached` = the whole unit was fetched into the cache (buffered
+  /// path), an unbuffered range access otherwise.  Handles detection,
+  /// on-the-fly regeneration, read-repair and the silent-taint bookkeeping
+  /// per the configured mode.
+  sim::Task<void> verify(UnitSlot& s, std::uint64_t offset_in_unit, std::uint64_t len,
+                         bool cached);
   /// Accounts corrupt bytes served to a client with no checksum to catch
   /// them (integrity=off): the silent failure mode.
-  void note_corrupt_served(UnitKey key, std::uint64_t offset_in_unit, std::uint64_t len);
+  void note_corrupt_served(const UnitSlot& s, std::uint64_t offset_in_unit, std::uint64_t len);
   /// Regenerates a corrupt unit from RAID-3 parity and rewrites it, bounded
   /// by the rebuild semaphore.  `scrub` selects the counter/event flavor.
-  sim::Task<void> repair_unit(UnitKey key, std::uint64_t disk_offset, bool scrub);
+  sim::Task<void> repair_unit(const UnitSlot& s, bool scrub);
 
   /// CPU service stretched by the degraded multiplier when in effect.
   sim::Tick svc(sim::Tick t) const;
   /// Parks the caller while the server is down.
   sim::Task<void> wait_if_crashed();
 
-  bool lookup(const UnitKey& key);
-  void insert(const UnitKey& key, std::uint64_t disk_offset, bool dirty);
-  void touch(const UnitKey& key);
+  /// Makes the unit resident and most recently used and, with `dirty`,
+  /// queues it for write-back unless it already is.
+  void insert(UnitSlot& s, bool dirty);
   sim::Task<void> evict_if_needed();
   sim::Task<void> flush_oldest_dirty();
   /// One unit write-back to the array, tracked in `wb_` so a torn crash can
   /// clip it.  Returns whether the unit became durable (false when a torn
   /// crash consumed the transfer); on success snapshots the ledger.
-  sim::Task<bool> write_back(std::uint32_t file, std::uint64_t unit, std::uint64_t disk_offset);
+  sim::Task<bool> write_back(UnitSlot& s);
   /// Journal-recovery pass spawned by restart(): redoes unapplied records in
   /// log order under the CPU mutex, then unparks clients.  `epoch` is the
   /// crash count at restart; a second crash changes it and aborts the pass.
   sim::Task<void> recover(std::uint64_t epoch);
   /// Emits one #loss record for a dropped dirty unit (no-op without a
   /// collector).
-  void emit_loss(std::uint32_t file, std::uint64_t unit, bool torn);
+  void emit_loss(const UnitSlot& s, bool torn);
 
   /// Front-end duplicate handling for a tracked op, run before the CPU
   /// queue: acks an already-completed id (replay) or joins a still-executing
@@ -457,10 +439,8 @@ class IoServer {
 
   /// Deterministic service-time estimates for admission decisions (current
   /// cache state + analytic array service; never touches the cache).
-  sim::Tick estimate_read(const UnitKey& key, std::uint64_t unit_disk_offset,
-                          std::uint64_t offset_in_unit, std::uint64_t len, bool buffered) const;
-  sim::Tick estimate_write(std::uint64_t unit_disk_offset, std::uint64_t offset_in_unit,
-                           std::uint64_t len, bool buffered) const;
+  sim::Tick estimate(const UnitSlot& s, std::uint64_t offset_in_unit, std::uint64_t len,
+                     bool buffered, bool write) const;
   /// Records the CPU queue depth this op is about to join.
   void note_cpu_queue();
 };

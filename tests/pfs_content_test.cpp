@@ -124,7 +124,8 @@ TEST(SparseContent, ZeroLengthWriteAllocatesNothing) {
 }
 
 TEST(UnitLedger, ZeroLengthAckLeavesUnitEmpty) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.ack(1, 0, 64, 0, /*op=*/7);
   const auto st = l.status(1, 0);
   EXPECT_EQ(st.acked_bytes, 0u);
@@ -136,7 +137,8 @@ TEST(UnitLedger, ChecksumIsStableAcrossOverlappingRewrites) {
   // Two ledgers fed the identical overlapping-rewrite history agree on every
   // checksum; replaying the final op (the crash-recovery duplicate) changes
   // nothing.
-  UnitLedger a, b;
+  UnitTable ta, tb;
+  UnitLedger a(ta), b(tb);
   for (UnitLedger* l : {&a, &b}) {
     l->ack(3, 5, 0, 100, /*op=*/1);
     l->ack(3, 5, 50, 100, /*op=*/2);  // overlaps the tail of op 1
@@ -151,7 +153,8 @@ TEST(UnitLedger, ChecksumIsStableAcrossOverlappingRewrites) {
 
   // A different overlap (different op owning the middle) must change the
   // checksum even though coverage is identical.
-  UnitLedger c;
+  UnitTable tc;
+  UnitLedger c(tc);
   c.ack(3, 5, 0, 100, /*op=*/1);
   c.ack(3, 5, 50, 100, /*op=*/2);
   c.ack(3, 5, 25, 10, /*op=*/4);
@@ -160,7 +163,8 @@ TEST(UnitLedger, ChecksumIsStableAcrossOverlappingRewrites) {
 }
 
 TEST(UnitLedger, RotClipsToUnitsSpanningHoles) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   // Two durable islands with a hole between them.
   l.ack(1, 0, 0, 10, /*op=*/1);
   l.ack(1, 0, 100, 10, /*op=*/2);
@@ -178,7 +182,8 @@ TEST(UnitLedger, RotClipsToUnitsSpanningHoles) {
 }
 
 TEST(UnitLedger, TornPrefixUnitsReportUndurableTail) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.ack(2, 1, 0, 100, /*op=*/1);
   l.torn(2, 1, /*prefix=*/60);
   auto st = l.status(2, 1);
@@ -198,7 +203,8 @@ TEST(UnitLedger, TornPrefixUnitsReportUndurableTail) {
 }
 
 TEST(UnitLedger, ObserveDurableRegistersReadOnlyInputData) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.observe_durable(9, 3, 0, 4096);
   const auto st = l.status(9, 3);
   EXPECT_EQ(st.acked_bytes, 0u);  // never written by the workload
@@ -208,7 +214,8 @@ TEST(UnitLedger, ObserveDurableRegistersReadOnlyInputData) {
 }
 
 TEST(UnitLedger, ObserveDurableNeverLaundersCrashLosses) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.ack(4, 2, 0, 100, /*op=*/1);
   l.drop_residency();  // crash before any write-back: the bytes are lost
   EXPECT_EQ(l.acked_undurable_bytes(4, 2), 100u);
@@ -220,7 +227,8 @@ TEST(UnitLedger, ObserveDurableNeverLaundersCrashLosses) {
 }
 
 TEST(UnitLedger, StaleUnitsResistRepairButHealOnRewrite) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.ack(5, 0, 0, 100, /*op=*/1);
   l.durable(5, 0);
   EXPECT_GT(l.mark_stale(5, 0), 0u);
@@ -236,7 +244,8 @@ TEST(UnitLedger, StaleUnitsResistRepairButHealOnRewrite) {
 }
 
 TEST(UnitLedger, RepairClearsRotAndResidualCountsTrack) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.observe_durable(1, 1, 0, 4096);
   l.observe_durable(1, 2, 0, 4096);
   EXPECT_EQ(l.rot(1, 1, 0, 50), 50u);

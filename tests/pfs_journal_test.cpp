@@ -22,26 +22,30 @@ constexpr std::uint64_t kUnit = 64 * 1024;
 // --------------------------------------------------------------- journal ---
 
 TEST(Journal, OffModeLogsNothing) {
-  Journal j(JournalMode::kOff);
+  UnitTable t;
+  Journal j(t, JournalMode::kOff);
   EXPECT_FALSE(j.enabled());
-  EXPECT_EQ(j.append(1, 1, 0, 0, 4096), 0u);
+  EXPECT_EQ(j.append(1, 0, 4096), 0u);
   EXPECT_FALSE(j.has_unapplied());
   EXPECT_EQ(j.counters().appends, 0u);
   EXPECT_EQ(j.counters().bytes_logged, 0u);
 }
 
 TEST(Journal, MetaLogsIntentOnlyFullLogsPayloadToo) {
-  Journal meta(JournalMode::kMeta);
-  EXPECT_EQ(meta.append(1, 1, 0, 0, 4096), Journal::kIntentBytes);
-  Journal full(JournalMode::kFull);
-  EXPECT_EQ(full.append(1, 1, 0, 0, 4096), Journal::kIntentBytes + 4096);
+  UnitTable meta_units;
+  Journal meta(meta_units, JournalMode::kMeta);
+  EXPECT_EQ(meta.append(1, 0, 4096), Journal::kIntentBytes);
+  UnitTable full_units;
+  Journal full(full_units, JournalMode::kFull);
+  EXPECT_EQ(full.append(1, 0, 4096), Journal::kIntentBytes + 4096);
 }
 
 TEST(Journal, AppendsAggregatePerUnitAndUnappliedIsLogOrdered) {
-  Journal j(JournalMode::kFull);
-  j.append(1, /*file=*/7, /*unit=*/3, 100, 1024);
-  j.append(2, /*file=*/7, /*unit=*/9, 200, 1024);
-  j.append(3, /*file=*/7, /*unit=*/3, 100, 1024);  // folds into unit 3's record
+  UnitTable t;
+  Journal j(t, JournalMode::kFull);
+  j.append(/*file=*/7, /*unit=*/3, 1024);
+  j.append(/*file=*/7, /*unit=*/9, 1024);
+  j.append(/*file=*/7, /*unit=*/3, 1024);  // folds into unit 3's record
   const auto recs = j.unapplied();
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].unit, 3u);  // first-append (lsn) order, not key order
@@ -52,10 +56,11 @@ TEST(Journal, AppendsAggregatePerUnitAndUnappliedIsLogOrdered) {
 }
 
 TEST(Journal, WriteBackTrimsAndRecoveryRetiresRecords) {
-  Journal j(JournalMode::kFull);
-  j.append(1, 1, 0, 0, 512);
-  j.append(2, 1, 1, 0, 512);
-  j.append(3, 1, 2, 0, 512);
+  UnitTable t;
+  Journal j(t, JournalMode::kFull);
+  j.append(1, 0, 512);
+  j.append(1, 1, 512);
+  j.append(1, 2, 512);
   j.mark_applied(1, 0);  // completed write-back
   EXPECT_EQ(j.counters().trimmed, 1u);
   ASSERT_EQ(j.unapplied().size(), 2u);
@@ -71,7 +76,8 @@ TEST(Journal, WriteBackTrimsAndRecoveryRetiresRecords) {
 // ---------------------------------------------------------------- ledger ---
 
 TEST(UnitLedger, AckIsIdempotentForReplayedDuplicates) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.ack(1, 0, 0, 2048, /*op_id=*/42);
   const auto once = l.status(1, 0);
   l.ack(1, 0, 0, 2048, /*op_id=*/42);  // crash-replayed duplicate
@@ -82,7 +88,8 @@ TEST(UnitLedger, AckIsIdempotentForReplayedDuplicates) {
 }
 
 TEST(UnitLedger, CrashedResidencyNeverBecomesDurable) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.ack(1, 0, 0, 2048, 1);
   l.drop_residency();         // crash: the cache copy is gone
   l.ack(1, 0, 4096, 2048, 2);  // post-restart write into the same unit
@@ -94,7 +101,8 @@ TEST(UnitLedger, CrashedResidencyNeverBecomesDurable) {
 }
 
 TEST(UnitLedger, TornWriteBackCoversOnlyThePrefix) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.ack(1, 0, 0, 8192, 1);
   l.torn(1, 0, /*prefix=*/4096);
   const auto s = l.status(1, 0);
@@ -104,7 +112,8 @@ TEST(UnitLedger, TornWriteBackCoversOnlyThePrefix) {
 }
 
 TEST(UnitLedger, RedoneRestoresWholeAckedSetAndRepairsTear) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.ack(1, 0, 0, 8192, 1);
   l.torn(1, 0, 4096);
   l.drop_residency();
@@ -117,7 +126,8 @@ TEST(UnitLedger, RedoneRestoresWholeAckedSetAndRepairsTear) {
 }
 
 TEST(UnitLedger, StaleOverwriteKeepsCoverageButMismatchesChecksum) {
-  UnitLedger l;
+  UnitTable t;
+  UnitLedger l(t);
   l.ack(1, 0, 0, 2048, /*op_id=*/1);
   l.durable(1, 0);               // op 1's bytes reach the array
   l.ack(1, 0, 0, 2048, /*op_id=*/2);  // overwrite acked, still cached
@@ -143,14 +153,14 @@ struct Fixture {
 };
 
 sim::Task<void> write_unit(IoServer& s, std::uint64_t unit, std::uint64_t len = 2048) {
-  co_await s.write(UnitKey{1, unit}, unit * kUnit, 0, len, true);
+  co_await s.write(UnitKey{1, unit}, 0, len, true);
 }
 
 TEST(IoServerJournal, OffModeCrashLosesAckedDirtyUnits) {
   Fixture f;
   auto s = f.make(JournalMode::kOff);
   f.engine.spawn(write_unit(s, 0));
-  f.engine.spawn(write_unit(s, 1));
+  f.engine.spawn(write_unit(s, 16));
   f.engine.run();
   s.crash();
   s.restart();
@@ -158,14 +168,14 @@ TEST(IoServerJournal, OffModeCrashLosesAckedDirtyUnits) {
   EXPECT_EQ(s.lost_dirty_units(), 2u);
   EXPECT_EQ(s.ledger().status(1, 0).durable_bytes, 0u);
   EXPECT_EQ(s.ledger().acked_undurable_bytes(1, 0), 2048u);
-  EXPECT_EQ(s.ledger().acked_undurable_bytes(1, 1), 2048u);
+  EXPECT_EQ(s.ledger().acked_undurable_bytes(1, 16), 2048u);
 }
 
 TEST(IoServerJournal, FullModeRecoveryRedoesEveryAckedUnit) {
   Fixture f;
   auto s = f.make(JournalMode::kFull);
   f.engine.spawn(write_unit(s, 0));
-  f.engine.spawn(write_unit(s, 1));
+  f.engine.spawn(write_unit(s, 16));
   f.engine.run();
   s.crash();
   s.restart();
@@ -176,14 +186,14 @@ TEST(IoServerJournal, FullModeRecoveryRedoesEveryAckedUnit) {
   EXPECT_EQ(s.journal().counters().redone, 2u);
   EXPECT_EQ(s.journal().counters().recoveries, 1u);
   EXPECT_EQ(s.ledger().acked_undurable_bytes(1, 0), 0u);
-  EXPECT_EQ(s.ledger().acked_undurable_bytes(1, 1), 0u);
+  EXPECT_EQ(s.ledger().acked_undurable_bytes(1, 16), 0u);
 }
 
 TEST(IoServerJournal, CompletedWriteBackLeavesNothingToRedo) {
   Fixture f;
   auto s = f.make(JournalMode::kFull);
   auto writer = [](IoServer& srv) -> sim::Task<void> {
-    co_await srv.write(UnitKey{1, 0}, 0, 0, 2048, true);
+    co_await srv.write(UnitKey{1, 0}, 0, 2048, true);
     co_await srv.flush_all();
   };
   f.engine.spawn(writer(s));
@@ -208,7 +218,7 @@ TEST(IoServerJournal, TornCrashClipsInFlightWriteBackToPrefix) {
   Fixture f;
   auto s = f.make(JournalMode::kOff);
   auto writer = [](IoServer& srv) -> sim::Task<void> {
-    co_await srv.write(UnitKey{1, 0}, 0, 0, kUnit, true);  // whole-unit dirty
+    co_await srv.write(UnitKey{1, 0}, 0, kUnit, true);  // whole-unit dirty
     co_await srv.flush_all();
   };
   f.engine.spawn(writer(s));
@@ -228,7 +238,7 @@ TEST(IoServerJournal, FullModeRecoveryRepairsTornUnit) {
   Fixture f;
   auto s = f.make(JournalMode::kFull);
   auto writer = [](IoServer& srv) -> sim::Task<void> {
-    co_await srv.write(UnitKey{1, 0}, 0, 0, kUnit, true);
+    co_await srv.write(UnitKey{1, 0}, 0, kUnit, true);
     co_await srv.flush_all();
   };
   f.engine.spawn(writer(s));
@@ -245,7 +255,7 @@ TEST(IoServerJournal, FullModeRecoveryRepairsTornUnit) {
 }
 
 sim::Task<void> ordered_write(IoServer& s, std::uint64_t unit, int id, std::vector<int>& order) {
-  co_await s.write(UnitKey{1, unit}, unit * kUnit, 0, 2048, true);
+  co_await s.write(UnitKey{1, unit}, 0, 2048, true);
   order.push_back(id);
 }
 
@@ -260,8 +270,8 @@ TEST(IoServerJournal, ParkedClientsKeepFifoOrderAcrossTwoCrashes) {
     co_await ordered_write(s, unit, id, order);
   };
   f.engine.spawn(stagger(1, 0, 0));
-  f.engine.spawn(stagger(2, 1, 1));
-  f.engine.spawn(stagger(3, 2, 2));
+  f.engine.spawn(stagger(2, 16, 1));
+  f.engine.spawn(stagger(3, 32, 2));
   // Second crash mid-outage: must NOT swap the restart event the three
   // parked clients wait on, or they would sleep forever.
   auto fault_driver = [&]() -> sim::Task<void> {
@@ -308,7 +318,7 @@ TEST(IoServerJournal, CrashDuringRecoveryResumesAndRedoesExactlyOnce) {
   Fixture f;
   auto s = f.make(JournalMode::kFull);
   f.engine.spawn(write_unit(s, 0));
-  f.engine.spawn(write_unit(s, 1));
+  f.engine.spawn(write_unit(s, 16));
   f.engine.run();
   s.crash();
   s.restart();
@@ -332,7 +342,7 @@ TEST(IoServerJournal, CrashDuringRecoveryResumesAndRedoesExactlyOnce) {
   EXPECT_EQ(s.journal().counters().redone, 2u);
   EXPECT_EQ(s.journal().counters().recoveries, 1u);
   EXPECT_EQ(s.ledger().acked_undurable_bytes(1, 0), 0u);
-  EXPECT_EQ(s.ledger().acked_undurable_bytes(1, 1), 0u);
+  EXPECT_EQ(s.ledger().acked_undurable_bytes(1, 16), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
 // Tests for the I/O-node server: stripe cache hits/misses, write-back
 // behavior and dirty-limit flushing, unbuffered bypass, eviction, and the
 // sequential-prefetch policy extension.
+//
+// The server is I/O node 0 of 16, so it holds the units that are multiples
+// of 16; it places each at the next free block of its array on first touch.
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
-#include <vector>
-
 #include "machine/disk.hpp"
 #include "pfs/server.hpp"
+#include "sim/assert.hpp"
 #include "sim/task.hpp"
 
 namespace sio::pfs {
@@ -35,11 +36,11 @@ struct Fixture {
 };
 
 sim::Task<void> read_unit(IoServer& s, std::uint32_t file, std::uint64_t unit, bool buffered) {
-  co_await s.read(UnitKey{file, unit}, unit * kUnit, 0, kUnit, buffered);
+  co_await s.read(UnitKey{file, unit}, 0, kUnit, buffered);
 }
 
 sim::Task<void> write_unit(IoServer& s, std::uint32_t file, std::uint64_t unit, bool buffered) {
-  co_await s.write(UnitKey{file, unit}, unit * kUnit, 0, 2048, buffered);
+  co_await s.write(UnitKey{file, unit}, 0, 2048, buffered);
 }
 
 TEST(IoServer, FirstReadMissesSecondHits) {
@@ -87,7 +88,7 @@ TEST(IoServer, DirtyLimitTriggersInlineFlush) {
   auto s = f.make(0, 16, 2);
   auto writer = [](IoServer& srv) -> sim::Task<void> {
     for (std::uint64_t u = 0; u < 5; ++u) {
-      co_await srv.write(UnitKey{1, u}, u * kUnit, 0, 2048, true);
+      co_await srv.write(UnitKey{1, u * 16}, 0, 2048, true);
     }
   };
   f.run(writer(s));
@@ -100,7 +101,7 @@ TEST(IoServer, FlushAllDrainsDirty) {
   auto s = f.make(0, 16, 16);
   auto writer = [](IoServer& srv) -> sim::Task<void> {
     for (std::uint64_t u = 0; u < 4; ++u) {
-      co_await srv.write(UnitKey{1, u}, u * kUnit, 0, 2048, true);
+      co_await srv.write(UnitKey{1, u * 16}, 0, 2048, true);
     }
     co_await srv.flush_all();
   };
@@ -112,8 +113,8 @@ TEST(IoServer, FlushAllDrainsDirty) {
 TEST(IoServer, WriteThenReadHitsCache) {
   Fixture f;
   auto s = f.make();
-  f.run(write_unit(s, 1, 3, true));
-  f.run(read_unit(s, 1, 3, true));
+  f.run(write_unit(s, 1, 48, true));
+  f.run(read_unit(s, 1, 48, true));
   EXPECT_EQ(s.cache_hits(), 1u);
   EXPECT_EQ(s.cache_misses(), 0u);
 }
@@ -122,9 +123,9 @@ TEST(IoServer, EvictionRespectsCapacityAndWritesBackDirty) {
   Fixture f;
   auto s = f.make(0, /*cache_units=*/2, /*dirty_limit=*/16);
   auto worker = [](IoServer& srv) -> sim::Task<void> {
-    co_await srv.write(UnitKey{1, 0}, 0, 0, 2048, true);  // dirty
-    co_await srv.read(UnitKey{1, 1}, kUnit, 0, kUnit, true);
-    co_await srv.read(UnitKey{1, 2}, 2 * kUnit, 0, kUnit, true);  // evicts unit 0
+    co_await srv.write(UnitKey{1, 0}, 0, 2048, true);  // dirty
+    co_await srv.read(UnitKey{1, 16}, 0, kUnit, true);
+    co_await srv.read(UnitKey{1, 32}, 0, kUnit, true);  // evicts unit 0
   };
   f.run(worker(s));
   EXPECT_LE(s.cached_units(), 2u);
@@ -137,10 +138,10 @@ TEST(IoServer, PrefetchFetchesAheadOnSequentialRun) {
   auto s = f.make(/*prefetch=*/2, /*cache_units=*/32);
   // Units on this server for one file differ by the stripe factor (16).
   auto reader = [](IoServer& srv) -> sim::Task<void> {
-    co_await srv.read(UnitKey{1, 0}, 0, 0, kUnit, true);
-    co_await srv.read(UnitKey{1, 16}, kUnit, 0, kUnit, true);  // sequential -> prefetch
-    co_await srv.read(UnitKey{1, 32}, 2 * kUnit, 0, kUnit, true);  // prefetched: hit
-    co_await srv.read(UnitKey{1, 48}, 3 * kUnit, 0, kUnit, true);  // prefetched: hit
+    co_await srv.read(UnitKey{1, 0}, 0, kUnit, true);
+    co_await srv.read(UnitKey{1, 16}, 0, kUnit, true);  // sequential -> prefetch
+    co_await srv.read(UnitKey{1, 32}, 0, kUnit, true);  // prefetched: hit
+    co_await srv.read(UnitKey{1, 48}, 0, kUnit, true);  // prefetched: hit
   };
   f.run(reader(s));
   EXPECT_EQ(s.prefetched_units(), 2u);
@@ -152,72 +153,35 @@ TEST(IoServer, NoPrefetchOnRandomRun) {
   Fixture f;
   auto s = f.make(/*prefetch=*/2, /*cache_units=*/32);
   auto reader = [](IoServer& srv) -> sim::Task<void> {
-    co_await srv.read(UnitKey{1, 0}, 0, 0, kUnit, true);
-    co_await srv.read(UnitKey{1, 80}, kUnit, 0, kUnit, true);
-    co_await srv.read(UnitKey{1, 32}, 2 * kUnit, 0, kUnit, true);
+    co_await srv.read(UnitKey{1, 0}, 0, kUnit, true);
+    co_await srv.read(UnitKey{1, 80}, 0, kUnit, true);
+    co_await srv.read(UnitKey{1, 32}, 0, kUnit, true);
   };
   f.run(reader(s));
   EXPECT_EQ(s.prefetched_units(), 0u);
   EXPECT_EQ(s.cache_misses(), 3u);
 }
 
+TEST(IoServer, PlacesUnitsInFirstTouchOrderAndRejectsUnitsItDoesNotOwn) {
+  Fixture f;
+  auto s = f.make();
+  EXPECT_EQ(s.place(2, 32), 0u);
+  EXPECT_EQ(s.place(1, 0), kUnit);
+  EXPECT_EQ(s.place(2, 32), 0u);  // a unit keeps its place
+  // Server 0 of 16 owns only multiples of 16.
+  EXPECT_THROW(s.place(1, 1), sim::AssertionError);
+  EXPECT_THROW(f.run(read_unit(s, 1, 17, true)), sim::AssertionError);
+}
+
 TEST(IoServer, SeparateFilesDoNotConfusePrefetchDetector) {
   Fixture f;
   auto s = f.make(/*prefetch=*/1, /*cache_units=*/32);
   auto reader = [](IoServer& srv) -> sim::Task<void> {
-    co_await srv.read(UnitKey{1, 0}, 0, 0, kUnit, true);
-    co_await srv.read(UnitKey{2, 16}, kUnit, 0, kUnit, true);  // other file
+    co_await srv.read(UnitKey{1, 0}, 0, kUnit, true);
+    co_await srv.read(UnitKey{2, 16}, 0, kUnit, true);  // other file
   };
   f.run(reader(s));
   EXPECT_EQ(s.prefetched_units(), 0u);
-}
-
-TEST(UnitKeyHash, AdversarialKeyFamiliesDisperse) {
-  // Families chosen to defeat weak mixes:
-  //  * shift-overlap pairs — {file, unit} vs {file^1, unit^(1<<40)} collide
-  //    under the old `(file << 40) ^ unit`;
-  //  * stride-aligned units (consecutive stripe units of one file, and
-  //    power-of-two strides) — low-entropy low bits feed the identity
-  //    std::hash straight into the table's bucket mask;
-  //  * file-id sweeps at unit 0 — all entropy in the top bits.
-  UnitKeyHash h;
-  std::vector<UnitKey> keys;
-  for (std::uint32_t f = 0; f < 64; ++f) {
-    keys.push_back({f, 0});
-    keys.push_back({f ^ 1u, 1ull << 40});
-  }
-  for (std::uint64_t u = 0; u < 64; ++u) {
-    keys.push_back({7, u});            // sequential units
-    keys.push_back({7, u << 16});      // 64 KB-stride units
-    keys.push_back({8, u * 1048576});  // 1 MB-stride units
-  }
-
-  std::unordered_set<std::size_t> hashes;
-  std::unordered_set<std::size_t> distinct;  // families overlap at {7,0}/{8,0}
-  for (const auto& k : keys) {
-    hashes.insert(h(k));
-    distinct.insert((static_cast<std::size_t>(k.file) << 48) ^ k.unit);
-  }
-  // A good mix maps distinct keys to (almost) as many distinct hashes.
-  // Allow a tiny slack for honest 64-bit coincidences.
-  EXPECT_GE(hashes.size(), distinct.size() - 2);
-
-  // Bucket dispersion: project onto a small power-of-two table the way
-  // libstdc++ masks hashes, and require every family to spread out instead
-  // of piling onto a handful of buckets.
-  std::unordered_set<std::size_t> buckets;
-  for (const auto& k : keys) buckets.insert(h(k) % 128);
-  EXPECT_GE(buckets.size(), 96u);
-}
-
-TEST(UnitKeyHash, ShiftOverlapPairNoLongerCollides) {
-  // The specific collision family of the old hash: flipping file bit 0 and
-  // unit bit 40 cancelled out.  The mixed hash must tell them apart.
-  UnitKeyHash h;
-  const UnitKey a{3, 5};
-  const UnitKey b{3 ^ 1u, 5ull ^ (1ull << 40)};
-  EXPECT_FALSE(a == b);
-  EXPECT_NE(h(a), h(b));
 }
 
 }  // namespace

@@ -169,7 +169,7 @@ TEST(SiolintUnorderedIter, FiresInOrderSensitiveDirsOnly) {
   EXPECT_EQ(in_pablo[0].rule, "unordered-iter");
   EXPECT_EQ(in_pablo[0].line, 3);
   // The same pattern in src/pfs/ is out of the rule's scope (the server
-  // cache is iterated only through its deterministic LRU list)...
+  // cache is iterated only through its deterministic intrusive lists)...
   EXPECT_TRUE(lint_one("src/pfs/ok.cpp", code).empty());
   // ...except the journal, whose replay order is observable in recovery and
   // in the scrub report, and the checkpoint workload that drives it.
@@ -187,6 +187,10 @@ TEST(SiolintUnorderedIter, FiresInOrderSensitiveDirsOnly) {
   const auto in_integrity_hdr = lint_one("src/pfs/integrity.hpp", code);
   ASSERT_EQ(in_integrity_hdr.size(), 1u);
   EXPECT_EQ(in_integrity_hdr[0].rule, "unordered-iter");
+  // ...and the servers' unit table, whose walk order all of those follow.
+  const auto in_table = lint_one("src/pfs/unit_table.hpp", code);
+  ASSERT_EQ(in_table.size(), 1u);
+  EXPECT_EQ(in_table[0].rule, "unordered-iter");
 }
 
 TEST(SiolintUnorderedIter, SeesMembersDeclaredInHeaders) {

@@ -30,7 +30,10 @@ bool is_order_sensitive_dir(std::string_view path) {
          starts_with(path, "src/pfs/journal") || starts_with(path, "src/apps/ckpt") ||
          // The integrity subsystem scrubs in key order and emits #integrity
          // records whose order is observable in SDDF traces.
-         starts_with(path, "src/pfs/integrity");
+         starts_with(path, "src/pfs/integrity") ||
+         // The I/O servers' unit table: its (file, unit) walk order drives
+         // the scrub, the scrubber, the bit-rot injector and the redo list.
+         starts_with(path, "src/pfs/unit_table");
 }
 
 bool is_engine_hot_path(std::string_view path) { return starts_with(path, "src/sim/"); }
