@@ -5,7 +5,8 @@
 // output, and the streaming fold to keep up with capture.
 //
 // CI runs this with `--benchmark_out=BENCH_trace.json
-// --benchmark_out_format=json` and gates BM_TraceEmitBinary,
+// --benchmark_out_format=json` and gates BM_TraceEmitText,
+// BM_TraceEmitTextSpans, BM_TraceEmitBinary, BM_TraceDecodeBinary,
 // BM_TraceStreamingFold and BM_SpanEmit against bench/BASELINE_trace.json
 // via tools/bench_gate.py.
 
@@ -83,6 +84,85 @@ void BM_TraceEmitText(benchmark::State& state) {
       static_cast<double>(bytes) / static_cast<double>(kEvents);
 }
 BENCHMARK(BM_TraceEmitText);
+
+/// A synthetic `#span` stream shaped like the traced paper runs: per op, a
+/// root, segment and attempt plus five stage spans, emitted in close order
+/// (children before parents) with ticks, ids and bytes at realistic widths.
+std::vector<pablo::SpanEvent> make_spans(std::size_t ops, int nodes) {
+  constexpr obs::StageKind kStages[] = {obs::StageKind::kNetReq, obs::StageKind::kAdmit,
+                                        obs::StageKind::kService, obs::StageKind::kDisk,
+                                        obs::StageKind::kNetResp};
+  std::vector<pablo::SpanEvent> spans;
+  spans.reserve(ops * 8);
+  std::uint32_t next_id = 1;
+  sim::Tick now = 1'000'000'000;
+  for (std::size_t i = 0; i < ops; ++i) {
+    const auto node = static_cast<std::int32_t>(i % static_cast<std::size_t>(nodes));
+    const std::uint64_t bytes = (i % 3 == 0) ? 65536 : 4096;
+    const std::uint32_t root = next_id;
+    const std::uint32_t seg = root + 1;
+    const std::uint32_t att = root + 2;
+    next_id += 8;
+    sim::Tick t = now + 5'000;
+    for (std::size_t k = 0; k < 5; ++k) {
+      const sim::Tick dur = 20'000 + static_cast<sim::Tick>((i * 7 + k * 13) % 41) * 1'250;
+      pablo::SpanEvent s;
+      s.start = t;
+      s.duration = dur;
+      s.op_id = 4'000'000 + i;
+      s.span = att + 1 + static_cast<std::uint32_t>(k);
+      s.parent = att;
+      s.stage = kStages[k];
+      s.node = node;
+      s.target = static_cast<std::int32_t>(i % 16);
+      s.bytes = kStages[k] == obs::StageKind::kAdmit ? 0 : bytes;
+      spans.push_back(s);
+      t += dur;
+    }
+    const sim::Tick end = t + 3'000;
+    const auto close = [&](std::uint32_t id, std::uint32_t parent, obs::StageKind stage,
+                           std::uint64_t info) {
+      pablo::SpanEvent s;
+      s.start = now;
+      s.duration = end - now;
+      s.op_id = id == root ? 0 : 4'000'000 + i;
+      s.span = id;
+      s.parent = parent;
+      s.stage = stage;
+      s.node = node;
+      s.target = id == root ? -1 : static_cast<std::int32_t>(i % 16);
+      s.bytes = bytes;
+      s.info = info;
+      spans.push_back(s);
+    };
+    close(att, seg, obs::StageKind::kAttempt, 1);
+    close(seg, root, obs::StageKind::kSegment, 0);
+    close(root, 0, obs::StageKind::kOp, 2);
+    now += 9'000 + static_cast<sim::Tick>(i % 13) * 260;
+  }
+  return spans;
+}
+
+/// The text writer on a span-heavy trace: most of a traced run's records
+/// are `#span` lines, which carry eleven fields against an event's seven.
+void BM_TraceEmitTextSpans(benchmark::State& state) {
+  constexpr std::size_t kOps = kEvents / 8;
+  const auto spans = make_spans(kOps, kNodes);
+  const auto evs = make_events(kEvents / 4, kNodes);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream out;
+    pablo::write_sddf(out, kFiles, evs, {}, {}, {}, {}, spans);
+    const std::string s = out.str();
+    bytes = s.size();
+    benchmark::DoNotOptimize(s.data());
+  }
+  const auto records = static_cast<std::int64_t>(spans.size() + evs.size());
+  state.SetItemsProcessed(state.iterations() * records);
+  state.counters["bytes_per_event"] =
+      static_cast<double>(bytes) / static_cast<double>(records);
+}
+BENCHMARK(BM_TraceEmitTextSpans);
 
 void BM_TraceEmitBinary(benchmark::State& state) {
   const auto evs = make_events(kEvents, kNodes);

@@ -51,7 +51,7 @@ void put_u64_delta(std::string& out, std::uint64_t value, std::uint64_t prev) {
 }
 
 /// `prev` plus the next signed delta; a sum outside int64 is corrupt input.
-inline std::int64_t add_signed_delta(std::int64_t prev, const std::string& data,
+inline std::int64_t add_signed_delta(std::int64_t prev, std::string_view data,
                                      std::size_t& pos) {
   std::int64_t sum = 0;
   if (__builtin_add_overflow(prev, varint::get_signed(data, pos), &sum)) [[unlikely]] {
@@ -60,7 +60,7 @@ inline std::int64_t add_signed_delta(std::int64_t prev, const std::string& data,
   return sum;
 }
 
-std::uint64_t get_u64_delta(const std::string& data, std::size_t& pos, std::uint64_t prev) {
+std::uint64_t get_u64_delta(std::string_view data, std::size_t& pos, std::uint64_t prev) {
   return prev + static_cast<std::uint64_t>(varint::get_signed(data, pos));
 }
 
@@ -84,13 +84,13 @@ BinarySddfWriter::BinarySddfWriter(Sink sink, std::size_t flush_threshold)
 
 void BinarySddfWriter::close_frame() {
   if (raw_.empty()) return;
-  std::string packed;
-  blockcomp::compress(raw_, packed);
+  packed_.clear();
+  blockcomp::compress(raw_, packed_, hash_table_);
   const std::size_t before = buf_.size();
   varint::put(buf_, raw_.size());
-  if (packed.size() < raw_.size()) {
-    varint::put(buf_, packed.size());
-    buf_.append(packed);
+  if (packed_.size() < raw_.size()) {
+    varint::put(buf_, packed_.size());
+    buf_.append(packed_);
   } else {
     varint::put(buf_, 0);  // stored frame: compression would not have paid
     buf_.append(raw_);
@@ -269,7 +269,7 @@ std::string to_binary_sddf(const Collector& collector) {
                         collector.integrity_events(), collector.span_events());
 }
 
-TraceFile from_binary_sddf(const std::string& container) {
+TraceFile from_binary_sddf(std::string_view container) {
   if (!is_binary_sddf(container)) throw std::runtime_error("binary SDDF: bad magic");
 
   // Unwrap the frame layer into the flat record stream.
@@ -283,13 +283,13 @@ TraceFile from_binary_sddf(const std::string& container) {
         if (raw_len > container.size() - fpos) {
           throw std::runtime_error("binary SDDF: truncated stored frame");
         }
-        data.append(container, fpos, raw_len);
+        data.append(container.substr(fpos, raw_len));
         fpos += raw_len;
       } else {
         if (enc_len > container.size() - fpos) {
           throw std::runtime_error("binary SDDF: truncated compressed frame");
         }
-        blockcomp::decompress(std::string_view(container).substr(fpos, enc_len), raw_len, data);
+        blockcomp::decompress(container.substr(fpos, enc_len), raw_len, data);
         fpos += enc_len;
       }
     }

@@ -67,6 +67,7 @@
 #include <utility>
 #include <vector>
 
+#include "pablo/blockcomp.hpp"
 #include "pablo/event.hpp"
 
 namespace sio::pablo {
@@ -119,8 +120,12 @@ class BinarySddfWriter {
   /// Bytes currently held in memory (open frame + not-yet-sunk container).
   std::size_t buffered_bytes() const { return raw_.size() + buf_.size(); }
 
-  /// Capacity retained by the buffers (the memory-accounting view).
-  std::size_t buffered_capacity() const { return raw_.capacity() + buf_.capacity(); }
+  /// Capacity retained by the buffers and the frame compressor's scratch
+  /// (the memory-accounting view).
+  std::size_t buffered_capacity() const {
+    return raw_.capacity() + buf_.capacity() + packed_.capacity() +
+           hash_table_.capacity() * sizeof(std::int32_t);
+  }
 
   std::uint64_t files_written() const { return files_written_; }
   std::uint64_t events_written() const { return events_written_; }
@@ -132,6 +137,8 @@ class BinarySddfWriter {
 
   std::string raw_;  ///< Record stream of the open frame (pre-compression).
   std::string buf_;  ///< Container output not yet handed to the sink.
+  std::string packed_;  ///< Compressed form of the frame being closed (reused).
+  blockcomp::HashTable hash_table_;  ///< Compressor scratch (reused).
   Sink sink_;
   std::size_t flush_threshold_;
   std::uint64_t bytes_encoded_ = 0;
@@ -174,7 +181,7 @@ std::string to_binary_sddf(const Collector& collector);
 /// order re-sort with sort_trace_events().  Throws std::runtime_error on bad
 /// magic, unknown tags, out-of-range references, or truncation (missing end
 /// marker).
-TraceFile from_binary_sddf(const std::string& data);
+TraceFile from_binary_sddf(std::string_view data);
 
 /// Stream convenience: reads everything from `in` and decodes.
 TraceFile read_binary_sddf(std::istream& in);

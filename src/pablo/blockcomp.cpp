@@ -1,9 +1,9 @@
 #include "pablo/blockcomp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include "pablo/varint.hpp"
 
@@ -22,6 +22,29 @@ std::uint32_t load32(const char* p) {
   std::uint32_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
+}
+
+std::uint64_t load64(const char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Length of the common prefix of a[0, limit) and b[0, limit), compared
+/// eight bytes at a time.
+std::size_t common_prefix(const char* a, const char* b, std::size_t limit) {
+  std::size_t len = 0;
+  while (limit - len >= sizeof(std::uint64_t)) {
+    const std::uint64_t diff = load64(a + len) ^ load64(b + len);
+    if (diff != 0) {
+      const int bit = std::endian::native == std::endian::little ? std::countr_zero(diff)
+                                                                 : std::countl_zero(diff);
+      return len + static_cast<std::size_t>(bit) / 8;
+    }
+    len += sizeof(std::uint64_t);
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
 }
 
 std::size_t hash4(std::uint32_t v) {
@@ -44,7 +67,7 @@ void put_sequence(std::string& out, std::string_view raw, std::size_t lit_begin,
 /// Reads one run length: the token nibble `nib` (15 = a varint extension
 /// follows) plus `bias`.  Throws unless the run fits in the `left` bytes the
 /// frame still owes, checked before any sum can overflow.
-std::size_t run_length(const std::string& data, std::size_t& pos, std::size_t nib,
+std::size_t run_length(std::string_view data, std::size_t& pos, std::size_t nib,
                        std::size_t bias, std::size_t left) {
   const std::uint64_t ext = nib == 15 ? varint::get(data, pos) : 0;
   if (ext > left || nib + bias > left - ext) {
@@ -55,8 +78,8 @@ std::size_t run_length(const std::string& data, std::size_t& pos, std::size_t ni
 
 }  // namespace
 
-void compress(std::string_view raw, std::string& out) {
-  std::vector<std::int32_t> table(kHashSize, -1);
+void compress(std::string_view raw, std::string& out, HashTable& table) {
+  table.assign(kHashSize, -1);
   const char* base = raw.data();
   const std::size_t n = raw.size();
   std::size_t pos = 0;
@@ -67,8 +90,9 @@ void compress(std::string_view raw, std::string& out) {
     const std::int32_t cand = table[h];
     table[h] = static_cast<std::int32_t>(pos);
     if (cand >= 0 && load32(base + cand) == load32(base + pos)) {
-      std::size_t len = kMinMatch;
-      while (pos + len < n && base[cand + len] == base[pos + len]) ++len;
+      const std::size_t len =
+          kMinMatch + common_prefix(base + cand + kMinMatch, base + pos + kMinMatch,
+                                    n - pos - kMinMatch);
       put_sequence(out, raw, lit_begin, pos - lit_begin,
                    pos - static_cast<std::size_t>(cand), len);
       // Seed the table through the match so repeats right after it hit too.
@@ -86,30 +110,34 @@ void compress(std::string_view raw, std::string& out) {
 }
 
 void decompress(std::string_view enc, std::size_t raw_len, std::string& out) {
-  const std::string data(enc);  // varint::get works on std::string
   std::size_t pos = 0;
   const std::size_t out_base = out.size();
-  out.reserve(out_base + std::min(raw_len, data.size() * kMaxReserveRatio));
+  out.reserve(out_base + std::min(raw_len, enc.size() * kMaxReserveRatio));
   while (true) {
-    if (pos >= data.size()) throw std::runtime_error("blockcomp: truncated frame");
-    const auto token = static_cast<std::uint8_t>(data[pos++]);
+    if (pos >= enc.size()) throw std::runtime_error("blockcomp: truncated frame");
+    const auto token = static_cast<std::uint8_t>(enc[pos++]);
     const std::size_t lit_len =
-        run_length(data, pos, token >> 4, 0, raw_len - (out.size() - out_base));
-    if (lit_len > data.size() - pos) throw std::runtime_error("blockcomp: truncated literals");
-    out.append(data, pos, lit_len);
+        run_length(enc, pos, token >> 4, 0, raw_len - (out.size() - out_base));
+    if (lit_len > enc.size() - pos) throw std::runtime_error("blockcomp: truncated literals");
+    out.append(enc.substr(pos, lit_len));
     pos += lit_len;
-    const std::uint64_t distance = varint::get(data, pos);
+    const std::uint64_t distance = varint::get(enc, pos);
     if (distance == 0) break;  // final sequence
     const std::size_t produced = out.size() - out_base;
     const std::size_t match_len =
-        run_length(data, pos, token & 0x0f, kMinMatch, raw_len - produced);
+        run_length(enc, pos, token & 0x0f, kMinMatch, raw_len - produced);
     if (distance > produced) throw std::runtime_error("blockcomp: match distance out of range");
-    // Byte-by-byte on purpose: overlapping matches (distance < length)
-    // replicate the just-written bytes, RLE-style.
-    std::size_t from = out.size() - static_cast<std::size_t>(distance);
-    for (std::size_t i = 0; i < match_len; ++i) out.push_back(out[from + i]);
+    const std::size_t from = out.size() - static_cast<std::size_t>(distance);
+    if (distance >= match_len) {
+      // The source lies wholly in bytes already written.
+      out.append(out, from, match_len);
+    } else {
+      // Overlapping match: byte by byte, so it replicates the bytes it has
+      // just written, RLE-style.
+      for (std::size_t i = 0; i < match_len; ++i) out.push_back(out[from + i]);
+    }
   }
-  if (out.size() - out_base != raw_len || pos != data.size()) {
+  if (out.size() - out_base != raw_len || pos != enc.size()) {
     throw std::runtime_error("blockcomp: frame length mismatch");
   }
 }

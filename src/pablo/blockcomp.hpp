@@ -24,12 +24,18 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace sio::pablo::blockcomp {
 
+/// The match finder's hash table.  A caller that compresses many frames
+/// keeps one and passes it to every call, so no call allocates it anew;
+/// its contents between calls do not affect the output.
+using HashTable = std::vector<std::int32_t>;
+
 /// Appends the compressed form of `raw` to `out`.  The encoding never
 /// expands beyond raw.size() + raw.size()/255 + 16 bytes.
-void compress(std::string_view raw, std::string& out);
+void compress(std::string_view raw, std::string& out, HashTable& table);
 
 /// Appends exactly `raw_len` decompressed bytes to `out`; throws
 /// std::runtime_error if `enc` is corrupt or decodes to a different length.

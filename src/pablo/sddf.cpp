@@ -1,6 +1,7 @@
 #include "pablo/sddf.hpp"
 
 #include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -12,13 +13,13 @@
 namespace sio::pablo {
 
 namespace {
-constexpr const char* kMagic = "#SDDF-IO 1";
-constexpr const char* kFields = "#fields start_ns duration_ns node file op offset bytes";
-constexpr const char* kFaultFields = "#fault-fields at_ns op_id kind node target info";
-constexpr const char* kQosFields = "#qos-fields at_ns op_id kind node target info";
-constexpr const char* kLossFields = "#loss-fields at_ns op_id target file offset bytes torn";
-constexpr const char* kIntegrityFields = "#integrity-fields at_ns kind target file unit bytes";
-constexpr const char* kSpanFields =
+constexpr std::string_view kMagic = "#SDDF-IO 1";
+constexpr std::string_view kFields = "#fields start_ns duration_ns node file op offset bytes";
+constexpr std::string_view kFaultFields = "#fault-fields at_ns op_id kind node target info";
+constexpr std::string_view kQosFields = "#qos-fields at_ns op_id kind node target info";
+constexpr std::string_view kLossFields = "#loss-fields at_ns op_id target file offset bytes torn";
+constexpr std::string_view kIntegrityFields = "#integrity-fields at_ns kind target file unit bytes";
+constexpr std::string_view kSpanFields =
     "#span-fields start_ns duration_ns op_id span parent stage node target bytes flags info";
 
 /// Parses a record's file-id field: "-" (no file) or the decimal id of an
@@ -35,6 +36,65 @@ FileId parse_file_field(const std::string& field, std::size_t table_size, const 
   }
   return static_cast<FileId>(id);
 }
+
+/// A record's file-id field: the decimal id, or "-" for kNoFile.
+struct FileField {
+  FileId id;
+};
+
+/// The SDDF text formatter.  Each line is formatted with std::to_chars and
+/// memcpy straight into a 64 KiB chunk, and each full chunk goes to the
+/// stream in one write().  Every field is an integer or a name, and
+/// to_chars writes the same decimal text as operator<< on a default stream.
+class TextWriter {
+ public:
+  explicit TextWriter(std::ostream& out) : out_(out), buf_(kChunk, '\0') {}
+
+  /// Writes `fields` separated by single spaces, then a newline.
+  template <class... Fields>
+  void line(const Fields&... fields) {
+    const std::size_t need = (width_bound(fields) + ...) + sizeof...(fields);
+    if (need > buf_.size() - len_) {
+      flush();
+      if (need > buf_.size()) buf_.resize(need);  // a name longer than a chunk
+    }
+    char* p = buf_.data() + len_;
+    ((p = put(p, fields), *p++ = ' '), ...);
+    p[-1] = '\n';
+    len_ = static_cast<std::size_t>(p - buf_.data());
+  }
+
+  /// Hands the buffered text to the stream.
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(len_));
+    len_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 64 * 1024;
+  /// Longest decimal integer field: "-9223372036854775808" or UINT64_MAX.
+  static constexpr std::size_t kMaxDigits = 20;
+
+  static std::size_t width_bound(std::string_view s) { return s.size(); }
+  static std::size_t width_bound(std::integral auto) { return kMaxDigits; }
+  static std::size_t width_bound(FileField) { return kMaxDigits; }
+
+  static char* put(char* p, std::string_view s) { return p + s.copy(p, s.size()); }
+  static char* put(char* p, std::integral auto v) {
+    return std::to_chars(p, p + kMaxDigits, v).ptr;
+  }
+  static char* put(char* p, FileField f) {
+    if (f.id == kNoFile) {
+      *p = '-';
+      return p + 1;
+    }
+    return put(p, f.id);
+  }
+
+  std::ostream& out_;
+  std::string buf_;
+  std::size_t len_ = 0;
+};
 }  // namespace
 
 bool is_portable_file_name(std::string_view name) {
@@ -91,95 +151,47 @@ void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
                 const std::vector<QosEvent>& qos, const std::vector<LossEvent>& losses,
                 const std::vector<IntegrityEvent>& integrity,
                 const std::vector<SpanEvent>& spans) {
-  out << kMagic << '\n' << kFields << '\n';
-  for (std::size_t i = 0; i < file_names.size(); ++i) {
-    out << "#file " << i << ' ' << file_names[i] << '\n';
-  }
+  TextWriter w(out);
+  w.line(kMagic);
+  w.line(kFields);
+  for (std::size_t i = 0; i < file_names.size(); ++i) w.line("#file", i, file_names[i]);
   if (!faults.empty()) {
-    out << kFaultFields << '\n';
+    w.line(kFaultFields);
     for (const auto& f : faults) {
-      out << "#fault " << f.at << ' ' << f.op_id << ' ' << fault_kind_name(f.kind) << ' '
-          << f.node << ' ' << f.target << ' ' << f.info << '\n';
+      w.line("#fault", f.at, f.op_id, fault_kind_name(f.kind), f.node, f.target, f.info);
     }
   }
   if (!qos.empty()) {
-    out << kQosFields << '\n';
+    w.line(kQosFields);
     for (const auto& q : qos) {
-      out << "#qos " << q.at << ' ' << q.op_id << ' ' << qos_kind_name(q.kind) << ' ' << q.node
-          << ' ' << q.target << ' ' << q.info << '\n';
+      w.line("#qos", q.at, q.op_id, qos_kind_name(q.kind), q.node, q.target, q.info);
     }
   }
   if (!losses.empty()) {
-    out << kLossFields << '\n';
+    w.line(kLossFields);
     for (const auto& l : losses) {
-      out << "#loss " << l.at << ' ' << l.op_id << ' ' << l.target << ' ';
-      if (l.file == kNoFile) {
-        out << "- ";
-      } else {
-        out << l.file << ' ';
-      }
-      out << l.offset << ' ' << l.bytes << ' ' << l.torn << '\n';
+      w.line("#loss", l.at, l.op_id, l.target, FileField{l.file}, l.offset, l.bytes, l.torn);
     }
   }
   if (!integrity.empty()) {
-    out << kIntegrityFields << '\n';
+    w.line(kIntegrityFields);
     for (const auto& g : integrity) {
-      out << "#integrity " << g.at << ' ' << integrity_kind_name(g.kind) << ' ' << g.target
-          << ' ';
-      if (g.file == kNoFile) {
-        out << "- ";
-      } else {
-        out << g.file << ' ';
-      }
-      out << g.unit << ' ' << g.bytes << '\n';
+      w.line("#integrity", g.at, integrity_kind_name(g.kind), g.target, FileField{g.file},
+             g.unit, g.bytes);
     }
   }
   if (!spans.empty()) {
-    out << kSpanFields << '\n';
+    w.line(kSpanFields);
     for (const auto& s : spans) {
-      out << "#span " << s.start << ' ' << s.duration << ' ' << s.op_id << ' ' << s.span << ' '
-          << s.parent << ' ' << obs::stage_name(s.stage) << ' ' << s.node << ' ' << s.target
-          << ' ' << s.bytes << ' ' << s.flags << ' ' << s.info << '\n';
+      w.line("#span", s.start, s.duration, s.op_id, s.span, s.parent, obs::stage_name(s.stage),
+             s.node, s.target, s.bytes, s.flags, s.info);
     }
   }
   for (const auto& ev : events) {
-    out << ev.start << ' ' << ev.duration << ' ' << ev.node << ' ';
-    if (ev.file == kNoFile) {
-      out << "- ";
-    } else {
-      out << ev.file << ' ';
-    }
-    out << io_op_name(ev.op) << ' ' << ev.offset << ' ' << ev.bytes << '\n';
+    w.line(ev.start, ev.duration, ev.node, FileField{ev.file}, io_op_name(ev.op), ev.offset,
+           ev.bytes);
   }
-}
-
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults,
-                const std::vector<QosEvent>& qos, const std::vector<LossEvent>& losses,
-                const std::vector<IntegrityEvent>& integrity) {
-  write_sddf(out, file_names, events, faults, qos, losses, integrity, {});
-}
-
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults,
-                const std::vector<QosEvent>& qos, const std::vector<LossEvent>& losses) {
-  write_sddf(out, file_names, events, faults, qos, losses, {}, {});
-}
-
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults,
-                const std::vector<QosEvent>& qos) {
-  write_sddf(out, file_names, events, faults, qos, {}, {});
-}
-
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults) {
-  write_sddf(out, file_names, events, faults, {}, {});
-}
-
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events) {
-  write_sddf(out, file_names, events, {}, {}, {});
+  w.flush();
 }
 
 void write_sddf(std::ostream& out, const Collector& collector) {

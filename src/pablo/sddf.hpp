@@ -57,41 +57,17 @@ struct TraceFile {
   std::vector<SpanEvent> spans;
 };
 
-/// Writes the collector's registered files, events and fault records to
-/// `out`.
+/// Writes the collector's registered files, events and every other record
+/// family to `out`.
 void write_sddf(std::ostream& out, const Collector& collector);
 
-/// Writes a pre-extracted trace.
+/// Writes a pre-extracted trace: the file table, then each record family
+/// that is present (faults, QoS, losses, integrity, spans), then the events.
 void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events);
-
-/// Writes a pre-extracted trace including fault records.
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults);
-
-/// Writes a pre-extracted trace including fault and QoS records.
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults,
-                const std::vector<QosEvent>& qos);
-
-/// Writes a pre-extracted trace including fault, QoS and loss records.
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults,
-                const std::vector<QosEvent>& qos, const std::vector<LossEvent>& losses);
-
-/// Writes a pre-extracted trace including fault, QoS, loss and integrity
-/// records.
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults,
-                const std::vector<QosEvent>& qos, const std::vector<LossEvent>& losses,
-                const std::vector<IntegrityEvent>& integrity);
-
-/// Writes a pre-extracted trace including every record family (spans last).
-void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
-                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults,
-                const std::vector<QosEvent>& qos, const std::vector<LossEvent>& losses,
-                const std::vector<IntegrityEvent>& integrity,
-                const std::vector<SpanEvent>& spans);
+                const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults = {},
+                const std::vector<QosEvent>& qos = {}, const std::vector<LossEvent>& losses = {},
+                const std::vector<IntegrityEvent>& integrity = {},
+                const std::vector<SpanEvent>& spans = {});
 
 /// True when `name` can be a `#file` name in both dialects: non-empty, with
 /// no space, control byte or DEL.  The text dialect writes names verbatim

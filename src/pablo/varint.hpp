@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace sio::pablo::varint {
 
@@ -39,7 +40,7 @@ inline void put_signed(std::string& out, std::int64_t v) { put(out, zigzag(v)); 
 
 /// Reads one varint from data[pos...], advancing pos.  Throws on truncation
 /// or a varint longer than 10 bytes (i.e. more than 64 payload bits).
-inline std::uint64_t get(const std::string& data, std::size_t& pos) {
+inline std::uint64_t get(std::string_view data, std::size_t& pos) {
   std::uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (pos >= data.size()) throw std::runtime_error("binary SDDF: truncated varint");
@@ -52,7 +53,7 @@ inline std::uint64_t get(const std::string& data, std::size_t& pos) {
 }
 
 /// Reads one zigzag varint.
-inline std::int64_t get_signed(const std::string& data, std::size_t& pos) {
+inline std::int64_t get_signed(std::string_view data, std::size_t& pos) {
   return unzigzag(get(data, pos));
 }
 

@@ -15,12 +15,13 @@ import json
 import sys
 
 # Benchmarks whose regression fails CI (the engine hot path the overhaul
-# optimized, plus the binary-trace emission and streaming-fold hot paths;
-# refresh bench/BASELINE_trace.json with `bench_trace
-# --benchmark_out=bench/BASELINE_trace.json --benchmark_out_format=json`).
+# optimized, the text and binary trace emission, binary decode, span
+# emission and streaming-fold hot paths; refresh bench/BASELINE_trace.json
+# with `bench_trace --benchmark_out=bench/BASELINE_trace.json
+# --benchmark_out_format=json`).
 # Fractional drop allowed before failing / warning.
-GATED = {"BM_EngineScheduleDispatch", "BM_TraceEmitBinary", "BM_TraceStreamingFold",
-         "BM_SpanEmit"}
+GATED = {"BM_EngineScheduleDispatch", "BM_TraceEmitText", "BM_TraceEmitTextSpans",
+         "BM_TraceEmitBinary", "BM_TraceDecodeBinary", "BM_TraceStreamingFold", "BM_SpanEmit"}
 MAX_DROP = 0.25
 
 
