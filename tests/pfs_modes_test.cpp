@@ -6,11 +6,14 @@
 //   M_GLOBAL  identical synchronized requests, single transfer + broadcast
 //   M_SYNC    node-ordered offsets from exchanged sizes
 //   M_LOG     FCFS shared pointer
+// plus exact per-mode traces (ModeTrace.*) that pin every (mode, direction)
+// pair of the client to its recorded timing.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "apps/common.hpp"
@@ -338,6 +341,175 @@ TEST(ModeSemantics, SeekOnSharedPointerModeThrows) {
     co_await fh.close();
   }));
   EXPECT_THROW(f.engine().run(), PfsError);
+}
+
+// ---------------------------------------------------------- exact traces --
+//
+// Each access mode's writes, then reads that run past end of file, on a
+// fixed 4-node rig with causal spans on.  A case is pinned by the FNV-1a of
+// its whole SDDF text (events and span trees), the engine's event count and
+// the file's final size and shared pointer, all recorded from the
+// per-direction client bodies.  Any moved delay, token kind, span or event
+// order changes the digest.
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct TracePin {
+  std::uint64_t sddf_fnv = 0;
+  std::uint64_t events = 0;
+  std::uint64_t size = 0;
+  std::uint64_t shared_offset = 0;
+};
+
+struct TraceFixture : Fixture {
+  TraceFixture() : Fixture(4) { collector.enable_spans(); }
+
+  /// Stages `size` bytes of patterned contents at `path`.
+  void stage(const char* path, std::uint64_t size) {
+    fs.stage_file(path, size);
+    fs.stage_contents(path, 0, pattern(static_cast<std::size_t>(size), 3));
+  }
+
+  void expect_pin(const char* path, const TracePin& want) {
+    collector.finish_spans();
+    const FileState& file = fs.lookup(path);
+    const TracePin got{fnv1a(collector.sddf_text()), engine().events_processed(), file.size,
+                       file.shared_offset};
+    EXPECT_EQ(got.sddf_fnv, want.sddf_fnv);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.size, want.size);
+    EXPECT_EQ(got.shared_offset, want.shared_offset);
+  }
+};
+
+TEST(ModeTrace, Record) {
+  TraceFixture f;
+  constexpr std::uint64_t kRec = 40 * 1024;  // records straddle stripe units
+  f.stage("t/rec", 8 * kRec + kRec / 2);
+  std::vector<std::uint64_t> got(4);
+  f.run_nodes(4, [&](int node) -> sim::Task<void> {
+    auto fh = co_await f.fs.gopen(node, "t/rec", *f.group,
+                                  {.mode = IoMode::kRecord, .record_size = kRec});
+    co_await fh.write(kRec, pattern(kRec, static_cast<unsigned>(node)));  // records 0-3
+    std::vector<std::byte> out(kRec);
+    for (int w = 0; w < 2; ++w) got[static_cast<std::size_t>(node)] += co_await fh.read(kRec, out);
+    co_await fh.close();
+  });
+  // Wave 2 runs into the half record at the end: rank 0 reads it, the rest 0.
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{kRec + kRec / 2, kRec, kRec, kRec}));
+  f.expect_pin("t/rec", {0xc295347c4961bbdfULL, 103, 348160, 0});
+}
+
+TEST(ModeTrace, Global) {
+  TraceFixture f;
+  constexpr std::uint64_t kReq = 50000;
+  f.stage("t/glob", 3 * kReq + 20000);
+  std::vector<std::uint64_t> got(4);
+  f.run_nodes(4, [&](int node) -> sim::Task<void> {
+    auto fh = co_await f.fs.gopen(node, "t/glob", *f.group, {.mode = IoMode::kGlobal});
+    for (int w = 0; w < 2; ++w) co_await fh.write(kReq, pattern(kReq, static_cast<unsigned>(w)));
+    std::vector<std::byte> out(kReq);
+    for (int w = 0; w < 2; ++w) got[static_cast<std::size_t>(node)] += co_await fh.read(kReq, out);
+    co_await fh.close();
+  });
+  EXPECT_EQ(got, (std::vector<std::uint64_t>(4, kReq + 20000)));
+  f.expect_pin("t/glob", {0x970f05cd9da41080ULL, 112, 170000, 170000});
+}
+
+TEST(ModeTrace, Sync) {
+  TraceFixture f;
+  // Rank r moves (r+1)*10000 bytes a wave; one write wave, two read waves,
+  // the second clamped inside rank 2's request.
+  f.stage("t/sync", 200000 + 10000 + 20000 + 5000);
+  std::vector<std::uint64_t> got(4);
+  f.run_nodes(4, [&](int node) -> sim::Task<void> {
+    auto fh = co_await f.fs.gopen(node, "t/sync", *f.group, {.mode = IoMode::kSync});
+    const auto bytes = static_cast<std::uint64_t>((node + 1) * 10000);
+    co_await fh.write(bytes, pattern(bytes, static_cast<unsigned>(node)));
+    std::vector<std::byte> out(bytes);
+    for (int w = 0; w < 2; ++w) got[static_cast<std::size_t>(node)] += co_await fh.read(bytes, out);
+    co_await fh.close();
+  });
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{20000, 40000, 35000, 40000}));
+  f.expect_pin("t/sync", {0x6ae84a99a55ded5fULL, 132, 235000, 300000});
+}
+
+TEST(ModeTrace, Log) {
+  TraceFixture f;
+  constexpr std::uint64_t kReq = 3000;
+  f.stage("t/log", 8 * kReq + 5 * kReq + 1000);
+  std::uint64_t total = 0;
+  f.run_nodes(4, [&](int node) -> sim::Task<void> {
+    auto fh = co_await f.fs.gopen(node, "t/log", *f.group, {.mode = IoMode::kLog});
+    for (int i = 0; i < 2; ++i) co_await fh.write(kReq, pattern(kReq, static_cast<unsigned>(node)));
+    std::vector<std::byte> out(kReq);
+    for (int i = 0; i < 2; ++i) total += co_await fh.read(kReq, out);
+    co_await fh.close();
+  });
+  EXPECT_EQ(total, 5 * kReq + 1000);
+  f.expect_pin("t/log", {0x0834cbfb0b9a4701ULL, 117, 40000, 40000});
+}
+
+TEST(ModeTrace, SharedUnix) {
+  TraceFixture f;
+  f.stage("t/unix", 75000);
+  std::vector<std::uint64_t> got(4);
+  f.run_nodes(4, [&](int node) -> sim::Task<void> {
+    auto fh = co_await f.fs.gopen(node, "t/unix", *f.group);
+    const auto base = static_cast<std::uint64_t>(node) * 20000;
+    co_await fh.seek(base);
+    co_await fh.write(8000, pattern(8000, static_cast<unsigned>(node)));
+    std::vector<std::byte> out(14000);
+    got[static_cast<std::size_t>(node)] = co_await fh.read(14000, out);
+    co_await fh.close();
+  });
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{14000, 14000, 14000, 7000}));
+  f.expect_pin("t/unix", {0x990b421637f4e6f3ULL, 105, 75000, 0});
+}
+
+TEST(ModeTrace, SoloUnixClientCache) {
+  TraceFixture f;
+  f.stage("t/solo", 140000);
+  std::vector<std::uint64_t> got;
+  f.run_nodes(1, [&](int node) -> sim::Task<void> {
+    auto fh = co_await f.fs.open(node, "t/solo");
+    for (int i = 0; i < 3; ++i) co_await fh.write(2000, pattern(2000, static_cast<unsigned>(i)));
+    co_await fh.seek(65000);
+    std::vector<std::byte> out(70000);
+    got.push_back(co_await fh.read(1000, out));   // straddles units 0 and 1
+    got.push_back(co_await fh.read(1000, out));   // cached unit 1
+    got.push_back(co_await fh.read(70000, out));  // whole-unit read streams past the cache
+    co_await fh.seek(139500);
+    got.push_back(co_await fh.read(1000, out));
+    co_await fh.close();
+  });
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{1000, 1000, 70000, 500}));
+  f.expect_pin("t/solo", {0xf89cc6d77a904c47ULL, 46, 140000, 0});
+}
+
+TEST(ModeTrace, UnbufferedAsync) {
+  TraceFixture f;
+  std::vector<std::uint64_t> got(4);
+  f.run_nodes(4, [&](int node) -> sim::Task<void> {
+    auto fh = co_await f.fs.gopen(node, "t/async", *f.group,
+                                  {.mode = IoMode::kAsync, .buffering = false, .truncate = true});
+    const auto base = static_cast<std::uint64_t>(node) * 30000;
+    co_await fh.seek(base);
+    co_await fh.write(30000, pattern(30000, static_cast<unsigned>(node)));
+    co_await fh.seek(base + 10000);
+    std::vector<std::byte> out(30000);
+    got[static_cast<std::size_t>(node)] = co_await fh.read(30000, out);
+    co_await fh.close();
+  });
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{30000, 30000, 30000, 20000}));
+  f.expect_pin("t/async", {0x103cc70f861ce1c5ULL, 99, 120000, 0});
 }
 
 }  // namespace
