@@ -114,7 +114,7 @@ sim::Task<void> FileHandle::buffered_write(std::uint64_t offset, std::uint64_t b
   if (wb_len_ >= unit_size) co_await flush_write_buffer();
 }
 
-// ------------------------------------------------------------------ reads --
+// ------------------------------------------------------------- data ops --
 
 sim::Task<std::uint64_t> FileHandle::read(std::uint64_t bytes, std::span<std::byte> out) {
   SIO_ASSERT(open_);
@@ -122,25 +122,7 @@ sim::Task<std::uint64_t> FileHandle::read(std::uint64_t bytes, std::span<std::by
   obs::SpanScope op_span(fs_->collector().span_origin(), obs::StageKind::kOp, node_, -1, bytes,
                          static_cast<std::uint64_t>(pablo::IoOp::kRead));
   op_span_ = op_span.ctx();
-  std::uint64_t n = 0;
-  switch (file_->mode) {
-    case IoMode::kUnix:
-    case IoMode::kAsync:
-      n = co_await read_unix_or_async(bytes);
-      break;
-    case IoMode::kRecord:
-      n = co_await read_record(bytes);
-      break;
-    case IoMode::kGlobal:
-      n = co_await read_global(bytes);
-      break;
-    case IoMode::kSync:
-      n = co_await read_sync(bytes);
-      break;
-    case IoMode::kLog:
-      n = co_await read_log(bytes);
-      break;
-  }
+  const std::uint64_t n = co_await access(bytes, /*is_write=*/false);
   if (!out.empty() && file_->content && n > 0) {
     SIO_ASSERT(out.size() >= n);
     file_->content->read(last_op_offset_, out.subspan(0, static_cast<std::size_t>(n)));
@@ -152,152 +134,6 @@ sim::Task<std::uint64_t> FileHandle::read(std::uint64_t bytes, std::span<std::by
   co_return n;
 }
 
-sim::Task<std::uint64_t> FileHandle::read_unix_or_async(std::uint64_t bytes) {
-  const auto& os = fs_->os();
-  const std::uint64_t offset = pos_;
-  const std::uint64_t n = clamp_read(*file_, offset, bytes);
-  last_op_offset_ = offset;
-  co_await fs_->machine().engine().delay(os.syscall_overhead);
-  if (n > 0) {
-    if (file_->mode == IoMode::kUnix && file_->shared()) {
-      // Shared UNIX semantics: atomicity bookkeeping serializes at the
-      // metadata/token server, and the consistency validation cost grows
-      // with the number of concurrent openers; no client caching.
-      {
-        obs::SpanScope meta_span(op_span_, obs::StageKind::kMeta, node_);
-        co_await fs_->machine().engine().delay(fs_->meta_round_trip(node_));
-        co_await fs_->metadata().token_op(file_->id, /*is_write=*/false, node_);
-      }
-      co_await fs_->machine().engine().delay(os.shared_read_per_opener *
-                                             static_cast<sim::Tick>(file_->open_count));
-      co_await fs_->transfer(node_, *file_, offset, n, /*is_write=*/false, buffering_,
-                             op_span_);
-    } else if (client_cache_allowed()) {
-      co_await cached_read(offset, n);
-    } else {
-      co_await fs_->transfer(node_, *file_, offset, n, /*is_write=*/false, buffering_,
-                             op_span_);
-    }
-  }
-  pos_ = offset + n;
-  co_return n;
-}
-
-sim::Task<std::uint64_t> FileHandle::read_record(std::uint64_t bytes) {
-  require_group("M_RECORD access");
-  if (file_->record_size == 0) throw PfsError("M_RECORD record size not set");
-  if (bytes != file_->record_size) {
-    throw PfsError("M_RECORD requires record-sized requests");
-  }
-  const auto& os = fs_->os();
-  const std::uint64_t offset =
-      (op_index_ * static_cast<std::uint64_t>(group_->size()) + static_cast<std::uint64_t>(rank_)) *
-      file_->record_size;
-  ++op_index_;
-  last_op_offset_ = offset;
-  const std::uint64_t n = clamp_read(*file_, offset, bytes);
-  co_await fs_->machine().engine().delay(os.syscall_overhead + os.sync_mode_overhead);
-  if (n > 0) {
-    co_await fs_->transfer(node_, *file_, offset, n, /*is_write=*/false, buffering_, op_span_);
-  }
-  pos_ = offset + n;
-  co_return n;
-}
-
-sim::Task<std::uint64_t> FileHandle::read_global(std::uint64_t bytes) {
-  require_group("M_GLOBAL access");
-  const auto& os = fs_->os();
-  co_await fs_->machine().engine().delay(os.syscall_overhead);
-  group_->scratch()[static_cast<std::size_t>(rank_)] = bytes;
-  FileState* f = file_;
-  Group* g = group_;
-  {
-    obs::SpanScope sync_span(op_span_, obs::StageKind::kSync, node_);
-    co_await group_->arrive([f, g] {
-      // All requests must be identical; advance the shared pointer once.
-      const std::uint64_t req = g->scratch()[0];
-      for (const std::uint64_t s : g->scratch()) {
-        if (s != req) throw PfsError("M_GLOBAL requires identical requests");
-      }
-      const std::uint64_t base = f->shared_offset;
-      const std::uint64_t n = clamp_read(*f, base, req);
-      for (auto& w : g->wave_offsets()) w = base;
-      f->shared_offset = base + n;
-    });
-  }
-  const std::uint64_t base = group_->wave_offsets()[static_cast<std::size_t>(rank_)];
-  const std::uint64_t n = clamp_read(*file_, base, bytes);
-  last_op_offset_ = base;
-  if (rank_ == 0 && n > 0) {
-    co_await fs_->transfer(node_, *file_, base, n, /*is_write=*/false, /*buffered=*/true,
-                           op_span_);
-  }
-  {
-    obs::SpanScope sync_span(op_span_, obs::StageKind::kSync, node_);
-    co_await group_->arrive();  // data is on the leader
-  }
-  co_await fs_->machine().engine().delay(
-      fs_->machine().network().broadcast_arrival(rank_, group_->size(), n) +
-      os.sync_mode_overhead);
-  co_return n;
-}
-
-sim::Task<std::uint64_t> FileHandle::read_sync(std::uint64_t bytes) {
-  require_group("M_SYNC access");
-  const auto& os = fs_->os();
-  co_await fs_->machine().engine().delay(os.syscall_overhead);
-  group_->scratch()[static_cast<std::size_t>(rank_)] = bytes;
-  FileState* f = file_;
-  Group* g = group_;
-  {
-    obs::SpanScope sync_span(op_span_, obs::StageKind::kSync, node_);
-    co_await group_->arrive([f, g] {
-      std::uint64_t acc = f->shared_offset;
-      for (std::size_t r = 0; r < g->wave_offsets().size(); ++r) {
-        g->wave_offsets()[r] = acc;
-        acc += g->scratch()[r];
-      }
-      f->shared_offset = acc;
-    });
-  }
-  const std::uint64_t offset = group_->wave_offsets()[static_cast<std::size_t>(rank_)];
-  const std::uint64_t n = clamp_read(*file_, offset, bytes);
-  last_op_offset_ = offset;
-  // Requests are serviced in node order.
-  co_await fs_->machine().engine().delay(static_cast<sim::Tick>(rank_) * os.token_read_service +
-                                         os.sync_mode_overhead);
-  if (n > 0) {
-    co_await fs_->transfer(node_, *file_, offset, n, /*is_write=*/false, /*buffered=*/true,
-                           op_span_);
-  }
-  {
-    obs::SpanScope sync_span(op_span_, obs::StageKind::kSync, node_);
-    co_await group_->arrive();
-  }
-  co_return n;
-}
-
-sim::Task<std::uint64_t> FileHandle::read_log(std::uint64_t bytes) {
-  const auto& os = fs_->os();
-  {
-    // The combined syscall+round-trip delay stays one engine event (splitting
-    // it would perturb same-tick ordering); the meta span covers it whole.
-    obs::SpanScope meta_span(op_span_, obs::StageKind::kMeta, node_);
-    co_await fs_->machine().engine().delay(os.syscall_overhead + fs_->meta_round_trip(node_));
-    co_await fs_->metadata().token_op(file_->id, /*is_write=*/false, node_);
-  }
-  const std::uint64_t offset = file_->shared_offset;
-  const std::uint64_t n = clamp_read(*file_, offset, bytes);
-  file_->shared_offset = offset + n;
-  last_op_offset_ = offset;
-  if (n > 0) {
-    co_await fs_->transfer(node_, *file_, offset, n, /*is_write=*/false, buffering_, op_span_);
-  }
-  co_return n;
-}
-
-// ----------------------------------------------------------------- writes --
-
 sim::Task<std::uint64_t> FileHandle::write(std::uint64_t bytes, std::span<const std::byte> data) {
   SIO_ASSERT(open_);
   SIO_ASSERT(data.empty() || data.size() == bytes);
@@ -305,25 +141,7 @@ sim::Task<std::uint64_t> FileHandle::write(std::uint64_t bytes, std::span<const 
   obs::SpanScope op_span(fs_->collector().span_origin(), obs::StageKind::kOp, node_, -1, bytes,
                          static_cast<std::uint64_t>(pablo::IoOp::kWrite));
   op_span_ = op_span.ctx();
-  std::uint64_t n = 0;
-  switch (file_->mode) {
-    case IoMode::kUnix:
-    case IoMode::kAsync:
-      n = co_await write_unix_or_async(bytes);
-      break;
-    case IoMode::kRecord:
-      n = co_await write_record(bytes);
-      break;
-    case IoMode::kGlobal:
-      n = co_await write_global(bytes);
-      break;
-    case IoMode::kSync:
-      n = co_await write_sync(bytes);
-      break;
-    case IoMode::kLog:
-      n = co_await write_log(bytes);
-      break;
-  }
+  const std::uint64_t n = co_await access(bytes, /*is_write=*/true);
   if (!data.empty() && file_->content && n > 0) {
     file_->content->write(last_op_offset_, data.subspan(0, static_cast<std::size_t>(n)));
   }
@@ -334,30 +152,62 @@ sim::Task<std::uint64_t> FileHandle::write(std::uint64_t bytes, std::span<const 
   co_return n;
 }
 
-sim::Task<std::uint64_t> FileHandle::write_unix_or_async(std::uint64_t bytes) {
+// Each mode body below serves both directions.  A read is clamped at end of
+// file and a write grows the file; everything else is the mode's own cost.
+
+sim::Task<std::uint64_t> FileHandle::access(std::uint64_t bytes, bool is_write) {
+  switch (file_->mode) {
+    case IoMode::kRecord:
+      return record(bytes, is_write);
+    case IoMode::kGlobal:
+      return global(bytes, is_write);
+    case IoMode::kSync:
+      return sync(bytes, is_write);
+    case IoMode::kLog:
+      return log(bytes, is_write);
+    case IoMode::kUnix:
+    case IoMode::kAsync:
+      break;
+  }
+  return unix_or_async(bytes, is_write);
+}
+
+sim::Task<std::uint64_t> FileHandle::unix_or_async(std::uint64_t bytes, bool is_write) {
   const auto& os = fs_->os();
   const std::uint64_t offset = pos_;
+  const std::uint64_t n = is_write ? bytes : clamp_read(*file_, offset, bytes);
   last_op_offset_ = offset;
   co_await fs_->machine().engine().delay(os.syscall_overhead);
-  if (bytes > 0) {
+  if (n > 0) {
     if (file_->mode == IoMode::kUnix && file_->shared()) {
+      // Shared UNIX semantics: atomicity bookkeeping serializes at the
+      // metadata/token server, and the consistency validation cost of a read
+      // grows with the number of concurrent openers; no client caching.
       {
         obs::SpanScope meta_span(op_span_, obs::StageKind::kMeta, node_);
         co_await fs_->machine().engine().delay(fs_->meta_round_trip(node_));
-        co_await fs_->metadata().token_op(file_->id, /*is_write=*/true, node_);
+        co_await fs_->metadata().token_op(file_->id, is_write, node_);
       }
-      co_await fs_->transfer(node_, *file_, offset, bytes, /*is_write=*/true, buffering_,
-                             op_span_);
+      if (!is_write) {
+        co_await fs_->machine().engine().delay(os.shared_read_per_opener *
+                                               static_cast<sim::Tick>(file_->open_count));
+      }
+      co_await fs_->transfer(node_, *file_, offset, n, is_write, buffering_, op_span_);
+    } else if (is_write) {
+      co_await buffered_write(offset, n);
+    } else if (client_cache_allowed()) {
+      co_await cached_read(offset, n);
     } else {
-      co_await buffered_write(offset, bytes);
+      co_await fs_->transfer(node_, *file_, offset, n, /*is_write=*/false, buffering_,
+                             op_span_);
     }
   }
-  pos_ = offset + bytes;
-  file_->size = std::max(file_->size, offset + bytes);
-  co_return bytes;
+  pos_ = offset + n;
+  if (is_write) file_->size = std::max(file_->size, offset + n);
+  co_return n;
 }
 
-sim::Task<std::uint64_t> FileHandle::write_record(std::uint64_t bytes) {
+sim::Task<std::uint64_t> FileHandle::record(std::uint64_t bytes, bool is_write) {
   require_group("M_RECORD access");
   if (file_->record_size == 0) throw PfsError("M_RECORD record size not set");
   if (bytes != file_->record_size) {
@@ -369,96 +219,105 @@ sim::Task<std::uint64_t> FileHandle::write_record(std::uint64_t bytes) {
       file_->record_size;
   ++op_index_;
   last_op_offset_ = offset;
+  const std::uint64_t n = is_write ? bytes : clamp_read(*file_, offset, bytes);
   co_await fs_->machine().engine().delay(os.syscall_overhead + os.sync_mode_overhead);
-  co_await fs_->transfer(node_, *file_, offset, bytes, /*is_write=*/true, buffering_, op_span_);
-  pos_ = offset + bytes;
-  file_->size = std::max(file_->size, offset + bytes);
-  co_return bytes;
+  if (n > 0) {
+    co_await fs_->transfer(node_, *file_, offset, n, is_write, buffering_, op_span_);
+  }
+  pos_ = offset + n;
+  if (is_write) file_->size = std::max(file_->size, offset + n);
+  co_return n;
 }
 
-sim::Task<std::uint64_t> FileHandle::write_global(std::uint64_t bytes) {
+sim::Task<std::uint64_t> FileHandle::global(std::uint64_t bytes, bool is_write) {
   require_group("M_GLOBAL access");
   const auto& os = fs_->os();
   co_await fs_->machine().engine().delay(os.syscall_overhead);
   group_->scratch()[static_cast<std::size_t>(rank_)] = bytes;
-  FileState* f = file_;
-  Group* g = group_;
   {
     obs::SpanScope sync_span(op_span_, obs::StageKind::kSync, node_);
-    co_await group_->arrive([f, g] {
-      const std::uint64_t req = g->scratch()[0];
-      for (const std::uint64_t s : g->scratch()) {
+    // The last arriver runs its own hook, so `this` is live while it does.
+    co_await group_->arrive([this, is_write] {
+      // All requests must be identical; advance the shared pointer once.
+      const std::uint64_t req = group_->scratch()[0];
+      for (const std::uint64_t s : group_->scratch()) {
         if (s != req) throw PfsError("M_GLOBAL requires identical requests");
       }
-      const std::uint64_t base = f->shared_offset;
-      for (auto& w : g->wave_offsets()) w = base;
-      f->shared_offset = base + req;
-      f->size = std::max(f->size, base + req);
+      const std::uint64_t base = file_->shared_offset;
+      const std::uint64_t n = is_write ? req : clamp_read(*file_, base, req);
+      for (auto& w : group_->wave_offsets()) w = base;
+      file_->shared_offset = base + n;
+      if (is_write) file_->size = std::max(file_->size, base + n);
     });
   }
   const std::uint64_t base = group_->wave_offsets()[static_cast<std::size_t>(rank_)];
+  const std::uint64_t n = is_write ? bytes : clamp_read(*file_, base, bytes);
   last_op_offset_ = base;
-  if (rank_ == 0 && bytes > 0) {
-    co_await fs_->transfer(node_, *file_, base, bytes, /*is_write=*/true, /*buffered=*/true,
-                           op_span_);
+  if (rank_ == 0 && n > 0) {
+    co_await fs_->transfer(node_, *file_, base, n, is_write, /*buffered=*/true, op_span_);
   }
   {
     obs::SpanScope sync_span(op_span_, obs::StageKind::kSync, node_);
-    co_await group_->arrive();
+    co_await group_->arrive();  // the leader's transfer is done
   }
-  co_await fs_->machine().engine().delay(os.sync_mode_overhead);
-  co_return bytes;
+  // A read's broadcast of the leader's data rides the same single delay.
+  const sim::Tick broadcast =
+      is_write ? 0 : fs_->machine().network().broadcast_arrival(rank_, group_->size(), n);
+  co_await fs_->machine().engine().delay(broadcast + os.sync_mode_overhead);
+  co_return n;
 }
 
-sim::Task<std::uint64_t> FileHandle::write_sync(std::uint64_t bytes) {
+sim::Task<std::uint64_t> FileHandle::sync(std::uint64_t bytes, bool is_write) {
   require_group("M_SYNC access");
   const auto& os = fs_->os();
   co_await fs_->machine().engine().delay(os.syscall_overhead);
   group_->scratch()[static_cast<std::size_t>(rank_)] = bytes;
-  FileState* f = file_;
-  Group* g = group_;
   {
     obs::SpanScope sync_span(op_span_, obs::StageKind::kSync, node_);
-    co_await group_->arrive([f, g] {
-      std::uint64_t acc = f->shared_offset;
-      for (std::size_t r = 0; r < g->wave_offsets().size(); ++r) {
-        g->wave_offsets()[r] = acc;
-        acc += g->scratch()[r];
+    co_await group_->arrive([this, is_write] {
+      std::uint64_t acc = file_->shared_offset;
+      for (std::size_t r = 0; r < group_->wave_offsets().size(); ++r) {
+        group_->wave_offsets()[r] = acc;
+        acc += group_->scratch()[r];
       }
-      f->shared_offset = acc;
-      f->size = std::max(f->size, acc);
+      file_->shared_offset = acc;
+      if (is_write) file_->size = std::max(file_->size, acc);
     });
   }
   const std::uint64_t offset = group_->wave_offsets()[static_cast<std::size_t>(rank_)];
+  const std::uint64_t n = is_write ? bytes : clamp_read(*file_, offset, bytes);
   last_op_offset_ = offset;
+  // Requests are serviced in node order.
   co_await fs_->machine().engine().delay(static_cast<sim::Tick>(rank_) * os.token_read_service +
                                          os.sync_mode_overhead);
-  if (bytes > 0) {
-    co_await fs_->transfer(node_, *file_, offset, bytes, /*is_write=*/true, /*buffered=*/true,
-                           op_span_);
+  if (n > 0) {
+    co_await fs_->transfer(node_, *file_, offset, n, is_write, /*buffered=*/true, op_span_);
   }
   {
     obs::SpanScope sync_span(op_span_, obs::StageKind::kSync, node_);
     co_await group_->arrive();
   }
-  co_return bytes;
+  co_return n;
 }
 
-sim::Task<std::uint64_t> FileHandle::write_log(std::uint64_t bytes) {
+sim::Task<std::uint64_t> FileHandle::log(std::uint64_t bytes, bool is_write) {
   const auto& os = fs_->os();
   {
+    // The combined syscall+round-trip delay stays one engine event (splitting
+    // it would perturb same-tick ordering); the meta span covers it whole.
     obs::SpanScope meta_span(op_span_, obs::StageKind::kMeta, node_);
     co_await fs_->machine().engine().delay(os.syscall_overhead + fs_->meta_round_trip(node_));
-    co_await fs_->metadata().token_op(file_->id, /*is_write=*/true, node_);
+    co_await fs_->metadata().token_op(file_->id, is_write, node_);
   }
   const std::uint64_t offset = file_->shared_offset;
-  file_->shared_offset = offset + bytes;
-  file_->size = std::max(file_->size, offset + bytes);
+  const std::uint64_t n = is_write ? bytes : clamp_read(*file_, offset, bytes);
+  file_->shared_offset = offset + n;
+  if (is_write) file_->size = std::max(file_->size, offset + n);
   last_op_offset_ = offset;
-  if (bytes > 0) {
-    co_await fs_->transfer(node_, *file_, offset, bytes, /*is_write=*/true, buffering_, op_span_);
+  if (n > 0) {
+    co_await fs_->transfer(node_, *file_, offset, n, is_write, buffering_, op_span_);
   }
-  co_return bytes;
+  co_return n;
 }
 
 // ------------------------------------------------------------ control ops --

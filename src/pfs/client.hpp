@@ -125,17 +125,15 @@ class FileHandle {
   sim::Task<void> buffered_write(std::uint64_t offset, std::uint64_t bytes);
   sim::Task<void> flush_write_buffer();
 
-  sim::Task<std::uint64_t> read_unix_or_async(std::uint64_t bytes);
-  sim::Task<std::uint64_t> read_record(std::uint64_t bytes);
-  sim::Task<std::uint64_t> read_global(std::uint64_t bytes);
-  sim::Task<std::uint64_t> read_sync(std::uint64_t bytes);
-  sim::Task<std::uint64_t> read_log(std::uint64_t bytes);
-
-  sim::Task<std::uint64_t> write_unix_or_async(std::uint64_t bytes);
-  sim::Task<std::uint64_t> write_record(std::uint64_t bytes);
-  sim::Task<std::uint64_t> write_global(std::uint64_t bytes);
-  sim::Task<std::uint64_t> write_sync(std::uint64_t bytes);
-  sim::Task<std::uint64_t> write_log(std::uint64_t bytes);
+  /// The current mode's body for one data op; returns its task unstarted,
+  /// so read() and write() await it with no frame in between.
+  sim::Task<std::uint64_t> access(std::uint64_t bytes, bool is_write);
+  // One body per access mode, serving both directions.
+  sim::Task<std::uint64_t> unix_or_async(std::uint64_t bytes, bool is_write);
+  sim::Task<std::uint64_t> record(std::uint64_t bytes, bool is_write);
+  sim::Task<std::uint64_t> global(std::uint64_t bytes, bool is_write);
+  sim::Task<std::uint64_t> sync(std::uint64_t bytes, bool is_write);
+  sim::Task<std::uint64_t> log(std::uint64_t bytes, bool is_write);
 
   void require_group(const char* what) const;
 };

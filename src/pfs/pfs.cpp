@@ -369,6 +369,22 @@ sim::Task<void> Pfs::transfer_segment(hw::NodeId node, FileState* file, StripeSe
     backoff_spent += b;
     return b;
   };
+  // Every failed attempt ends in one of these: give up on the last attempt,
+  // else count a retry.  `what` names the failure in the error text.
+  const auto fail_if_last = [&](int attempt, const char* what) {
+    if (attempt < rp.max_retries) return;
+    ++failed_ops_;
+    collector_.record_fault(
+        {engine.now(), op_id, pablo::FaultKind::kOpFailed, node, seg.io_node, 0});
+    throw PfsError(std::string("segment transfer ") + what + " after retries (io node " +
+                   std::to_string(seg.io_node) + ")");
+  };
+  const auto retry = [&](int attempt, const char* what) {
+    fail_if_last(attempt, what);
+    ++retries_;
+    collector_.record_fault({engine.now(), op_id, pablo::FaultKind::kOpRetry, node,
+                             seg.io_node, static_cast<std::uint64_t>(attempt + 1)});
+  };
   for (int attempt = 0;; ++attempt) {
     if (br != nullptr && !br->allow_attempt(node)) {
       // The node's breaker is open: don't feed the sick node more attempts.
@@ -390,13 +406,7 @@ sim::Task<void> Pfs::transfer_segment(hw::NodeId node, FileState* file, StripeSe
       ++breaker_holds_;
       collector_.record_qos(
           {engine.now(), op_id, pablo::QosKind::kBreakerHold, node, seg.io_node, 0});
-      if (attempt >= rp.max_retries) {
-        ++failed_ops_;
-        collector_.record_fault(
-            {engine.now(), op_id, pablo::FaultKind::kOpFailed, node, seg.io_node, 0});
-        throw PfsError("segment transfer failed after retries (io node " +
-                       std::to_string(seg.io_node) + ")");
-      }
+      fail_if_last(attempt, "failed");
       {
         obs::SpanScope hold_span(seg_span.ctx(), obs::StageKind::kBackoff, node, seg.io_node);
         co_await engine.delay(std::max<sim::Tick>(br->wait_hint(), 1));
@@ -432,16 +442,7 @@ sim::Task<void> Pfs::transfer_segment(hw::NodeId node, FileState* file, StripeSe
       // failure was detected the instant the payload landed.
       att_span.close();
       if (br != nullptr) br->on_success(node);
-      if (attempt >= rp.max_retries) {
-        ++failed_ops_;
-        collector_.record_fault(
-            {engine.now(), op_id, pablo::FaultKind::kOpFailed, node, seg.io_node, 0});
-        throw PfsError("segment transfer corrupt after retries (io node " +
-                       std::to_string(seg.io_node) + ")");
-      }
-      ++retries_;
-      collector_.record_fault({engine.now(), op_id, pablo::FaultKind::kOpRetry, node,
-                               seg.io_node, static_cast<std::uint64_t>(attempt + 1)});
+      retry(attempt, "corrupt");
       continue;
     }
     if (res.status == sim::WaitStatus::kCompleted && res.value && res.value->turned_away) {
@@ -450,16 +451,7 @@ sim::Task<void> Pfs::transfer_segment(hw::NodeId node, FileState* file, StripeSe
       // credit (satellite fix) instead of blindly re-arriving early.
       att_span.close();
       ++backpressure_rejects_;
-      if (attempt >= rp.max_retries) {
-        ++failed_ops_;
-        collector_.record_fault(
-            {engine.now(), op_id, pablo::FaultKind::kOpFailed, node, seg.io_node, 0});
-        throw PfsError("segment transfer rejected after retries (io node " +
-                       std::to_string(seg.io_node) + ")");
-      }
-      ++retries_;
-      collector_.record_fault({engine.now(), op_id, pablo::FaultKind::kOpRetry, node,
-                               seg.io_node, static_cast<std::uint64_t>(attempt + 1)});
+      retry(attempt, "rejected");
       // The credit is honored in full — it names the tick a slot is actually
       // expected to free, so arriving earlier only buys another rejection.
       // The cumulative cap applies to the client's own exponential schedule.
@@ -491,16 +483,7 @@ sim::Task<void> Pfs::transfer_segment(hw::NodeId node, FileState* file, StripeSe
     if (br != nullptr && attempt >= cfg_.qos.breaker_attempt_threshold) br->on_failure(node);
     collector_.record_fault({engine.now(), op_id, pablo::FaultKind::kOpTimeout, node,
                              seg.io_node, static_cast<std::uint64_t>(attempt)});
-    if (attempt >= rp.max_retries) {
-      ++failed_ops_;
-      collector_.record_fault(
-          {engine.now(), op_id, pablo::FaultKind::kOpFailed, node, seg.io_node, 0});
-      throw PfsError("segment transfer failed after retries (io node " +
-                     std::to_string(seg.io_node) + ")");
-    }
-    ++retries_;
-    collector_.record_fault({engine.now(), op_id, pablo::FaultKind::kOpRetry, node,
-                             seg.io_node, static_cast<std::uint64_t>(attempt + 1)});
+    retry(attempt, "failed");
     const sim::Tick b = backoff(backoff_for(attempt));
     if (b > 0) {
       obs::SpanScope back_span(seg_span.ctx(), obs::StageKind::kBackoff, node, seg.io_node);

@@ -154,7 +154,6 @@ class Pfs {
   }
   /// Attempts turned away at admission (rejected or shed) seen by clients.
   std::uint64_t backpressure_rejects() const { return backpressure_rejects_; }
-  std::uint64_t shed_ops() const { return shed_ops_; }
   /// Writes held back while an I/O node's breaker was open.
   std::uint64_t breaker_holds() const { return breaker_holds_; }
   /// Reads served via RAID-3 degraded reconstruction while a breaker was
@@ -218,7 +217,6 @@ class Pfs {
   /// slots) breaks.
   std::vector<std::unique_ptr<sim::Semaphore>> rebuild_slots_;
   std::uint64_t backpressure_rejects_ = 0;
-  std::uint64_t shed_ops_ = 0;
   std::uint64_t breaker_holds_ = 0;
   std::uint64_t reroutes_ = 0;
 
