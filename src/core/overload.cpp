@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "fault/plan.hpp"
 #include "machine/machine.hpp"
 #include "pablo/collector.hpp"
-#include "pablo/sddf.hpp"
 #include "pfs/pfs.hpp"
 #include "sim/assert.hpp"
 #include "sim/sync.hpp"
@@ -315,15 +313,7 @@ OverloadResult run_overload(const OverloadConfig& cfg) {
     }
   }
 
-  std::vector<std::string> file_names;
-  file_names.reserve(collector.file_count());
-  for (std::size_t i = 0; i < collector.file_count(); ++i) {
-    file_names.push_back(collector.file_name(static_cast<pablo::FileId>(i)));
-  }
-  std::ostringstream out;
-  pablo::write_sddf(out, file_names, collector.events(), collector.fault_events(),
-                    collector.qos_events());
-  r.sddf = out.str();
+  r.sddf = collector.sddf_text();
   return r;
 }
 

@@ -8,7 +8,7 @@ void FaultClock::record(pablo::FaultKind kind, int target, std::uint64_t info) {
   ev.kind = kind;
   ev.target = target;
   ev.info = info;
-  collector_.record_fault(ev);
+  collector_.record(ev);
 }
 
 void FaultClock::arm() {

@@ -6,6 +6,7 @@
 
 #include "pablo/blockcomp.hpp"
 #include "pablo/collector.hpp"
+#include "pablo/record_schema.hpp"
 #include "pablo/sddf.hpp"
 #include "pablo/varint.hpp"
 
@@ -15,10 +16,6 @@ namespace {
 
 constexpr std::uint8_t kTagEnd = 0x00;
 constexpr std::uint8_t kTagFile = 0x01;
-constexpr std::uint8_t kTagFault = 0x02;
-constexpr std::uint8_t kTagQos = 0x03;
-constexpr std::uint8_t kTagLoss = 0x04;
-constexpr std::uint8_t kTagIntegrity = 0x05;
 constexpr std::uint8_t kTagSpan = 0x06;
 constexpr std::uint8_t kEventBit = 0x80;
 
@@ -62,6 +59,57 @@ inline std::int64_t add_signed_delta(std::int64_t prev, std::string_view data,
 
 std::uint64_t get_u64_delta(std::string_view data, std::size_t& pos, std::uint64_t prev) {
   return prev + static_cast<std::uint64_t>(varint::get_signed(data, pos));
+}
+
+/// Reads one kind byte of enum E, range-checked against E's name table.
+template <class E>
+E get_kind(std::string_view data, std::size_t& pos, std::string_view record) {
+  if (pos >= data.size()) {
+    throw std::runtime_error("binary SDDF: truncated " + std::string(record) + " record");
+  }
+  const auto kind = static_cast<std::uint8_t>(data[pos++]);
+  if (kind >= name_table(E{}).count) {
+    throw std::runtime_error(std::string("binary SDDF: unknown ") + name_table(E{}).label);
+  }
+  return static_cast<E>(kind);
+}
+
+/// Appends field F of `r`, coded against the same field of `prev`.
+template <class F, class R>
+void put_field(std::string& out, const R& r, const R& prev) {
+  const auto v = r.*F::member;
+  const auto p = prev.*F::member;
+  if constexpr (F::coding == Coding::kDelta) {
+    varint::put_signed(out, static_cast<std::int64_t>(v) - static_cast<std::int64_t>(p));
+  } else if constexpr (F::coding == Coding::kU64Delta) {
+    put_u64_delta(out, v, p);
+  } else if constexpr (F::coding == Coding::kKind) {
+    out.push_back(static_cast<char>(v));
+  } else if constexpr (F::coding == Coding::kFile) {
+    varint::put_signed(out, file_as_signed(v) - file_as_signed(p));
+  } else {
+    varint::put(out, v);
+  }
+}
+
+/// Decodes field F of `r` against the same field of `prev`.
+template <class F, class R>
+void get_field(std::string_view data, std::size_t& pos, R& r, const R& prev,
+               std::size_t file_count) {
+  auto& v = r.*F::member;
+  const auto p = prev.*F::member;
+  using V = std::remove_reference_t<decltype(v)>;
+  if constexpr (F::coding == Coding::kDelta) {
+    v = static_cast<V>(add_signed_delta(p, data, pos));
+  } else if constexpr (F::coding == Coding::kU64Delta) {
+    v = get_u64_delta(data, pos, p);
+  } else if constexpr (F::coding == Coding::kKind) {
+    v = get_kind<V>(data, pos, kSchema<R>.name.substr(1));
+  } else if constexpr (F::coding == Coding::kFile) {
+    v = file_from_signed(add_signed_delta(file_as_signed(p), data, pos), file_count);
+  } else {
+    v = varint::get(data, pos);
+  }
 }
 
 /// Key of the per-(node, op) offset predictor table.
@@ -149,63 +197,21 @@ void BinarySddfWriter::add_event(const TraceEvent& ev) {
   maybe_flush();
 }
 
-void BinarySddfWriter::add_fault(const FaultEvent& ev) {
+template <class R>
+void BinarySddfWriter::add(const R& ev) {
+  R& prev = std::get<R>(prev_occurrence_);
   const std::size_t before = raw_.size();
-  raw_.push_back(static_cast<char>(kTagFault));
-  varint::put_signed(raw_, ev.at - prev_fault_.at);
-  put_u64_delta(raw_, ev.op_id, prev_fault_.op_id);
-  raw_.push_back(static_cast<char>(ev.kind));
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.node) - prev_fault_.node);
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.target) - prev_fault_.target);
-  put_u64_delta(raw_, ev.info, prev_fault_.info);
+  raw_.push_back(static_cast<char>(kSchema<R>.tag));
+  for_each_field<R>([&]<class F>(const F&) { put_field<F>(raw_, ev, prev); });
   bytes_encoded_ += raw_.size() - before;
-  prev_fault_ = ev;
+  prev = ev;
   maybe_flush();
 }
 
-void BinarySddfWriter::add_qos(const QosEvent& ev) {
-  const std::size_t before = raw_.size();
-  raw_.push_back(static_cast<char>(kTagQos));
-  varint::put_signed(raw_, ev.at - prev_qos_.at);
-  put_u64_delta(raw_, ev.op_id, prev_qos_.op_id);
-  raw_.push_back(static_cast<char>(ev.kind));
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.node) - prev_qos_.node);
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.target) - prev_qos_.target);
-  put_u64_delta(raw_, ev.info, prev_qos_.info);
-  bytes_encoded_ += raw_.size() - before;
-  prev_qos_ = ev;
-  maybe_flush();
-}
-
-void BinarySddfWriter::add_loss(const LossEvent& ev) {
-  const std::size_t before = raw_.size();
-  raw_.push_back(static_cast<char>(kTagLoss));
-  varint::put_signed(raw_, ev.at - prev_loss_.at);
-  put_u64_delta(raw_, ev.op_id, prev_loss_.op_id);
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.target) - prev_loss_.target);
-  varint::put_signed(raw_, file_as_signed(ev.file) - file_as_signed(prev_loss_.file));
-  put_u64_delta(raw_, ev.offset, prev_loss_.offset);
-  put_u64_delta(raw_, ev.bytes, prev_loss_.bytes);
-  varint::put(raw_, ev.torn);
-  bytes_encoded_ += raw_.size() - before;
-  prev_loss_ = ev;
-  maybe_flush();
-}
-
-void BinarySddfWriter::add_integrity(const IntegrityEvent& ev) {
-  const std::size_t before = raw_.size();
-  raw_.push_back(static_cast<char>(kTagIntegrity));
-  varint::put_signed(raw_, ev.at - prev_integrity_.at);
-  raw_.push_back(static_cast<char>(ev.kind));
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.target) - prev_integrity_.target);
-  varint::put_signed(raw_,
-                     file_as_signed(ev.file) - file_as_signed(prev_integrity_.file));
-  put_u64_delta(raw_, ev.unit, prev_integrity_.unit);
-  put_u64_delta(raw_, ev.bytes, prev_integrity_.bytes);
-  bytes_encoded_ += raw_.size() - before;
-  prev_integrity_ = ev;
-  maybe_flush();
-}
+template void BinarySddfWriter::add(const FaultEvent&);
+template void BinarySddfWriter::add(const QosEvent&);
+template void BinarySddfWriter::add(const LossEvent&);
+template void BinarySddfWriter::add(const IntegrityEvent&);
 
 void BinarySddfWriter::add_span(const SpanEvent& ev) {
   const std::size_t before = raw_.size();
@@ -249,24 +255,18 @@ std::string to_binary_sddf(const std::vector<std::string>& file_names,
                            const std::vector<SpanEvent>& spans) {
   BinarySddfWriter w;
   for (const auto& name : file_names) w.add_file(name);
-  for (const auto& f : faults) w.add_fault(f);
-  for (const auto& q : qos) w.add_qos(q);
-  for (const auto& l : losses) w.add_loss(l);
-  for (const auto& g : integrity) w.add_integrity(g);
+  for (const auto& f : faults) w.add(f);
+  for (const auto& q : qos) w.add(q);
+  for (const auto& l : losses) w.add(l);
+  for (const auto& g : integrity) w.add(g);
   for (const auto& s : spans) w.add_span(s);
   for (const auto& ev : events) w.add_event(ev);
   return w.finish();
 }
 
 std::string to_binary_sddf(const Collector& collector) {
-  std::vector<std::string> names;
-  names.reserve(collector.file_count());
-  for (std::size_t i = 0; i < collector.file_count(); ++i) {
-    names.push_back(collector.file_name(static_cast<FileId>(i)));
-  }
-  return to_binary_sddf(names, collector.events(), collector.fault_events(),
-                        collector.qos_events(), collector.loss_events(),
-                        collector.integrity_events(), collector.span_events());
+  const TraceFile& t = collector.trace();
+  return to_binary_sddf(t.file_names, t.events, t.faults, t.qos, t.losses, t.integrity, t.spans);
 }
 
 TraceFile from_binary_sddf(std::string_view container) {
@@ -304,10 +304,7 @@ TraceFile from_binary_sddf(std::string_view container) {
   std::array<sim::Tick, kIoOpCount> prev_dur{};
   std::array<std::uint64_t, kIoOpCount> prev_bytes{};
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> prev_no_off;
-  FaultEvent prev_fault{};
-  QosEvent prev_qos{};
-  LossEvent prev_loss{};
-  IntegrityEvent prev_integrity{};
+  Occurrences prev_occurrence{};
   SpanEvent prev_span{};
 
   while (true) {
@@ -354,75 +351,6 @@ TraceFile from_binary_sddf(std::string_view container) {
         pos += len;
         break;
       }
-      case kTagFault: {
-        FaultEvent f;
-        f.at = add_signed_delta(prev_fault.at, data, pos);
-        f.op_id = get_u64_delta(data, pos, prev_fault.op_id);
-        if (pos >= data.size()) throw std::runtime_error("binary SDDF: truncated fault record");
-        const auto kind = static_cast<std::uint8_t>(data[pos++]);
-        if (kind >= kFaultKindCount) throw std::runtime_error("binary SDDF: unknown fault kind");
-        f.kind = static_cast<FaultKind>(kind);
-        f.node = static_cast<std::int32_t>(add_signed_delta(prev_fault.node, data, pos));
-        f.target = static_cast<std::int32_t>(add_signed_delta(prev_fault.target, data, pos));
-        f.info = get_u64_delta(data, pos, prev_fault.info);
-        prev_fault = f;
-        // siolint:allow(trace-vector-growth)
-        tf.faults.push_back(f);
-        break;
-      }
-      case kTagQos: {
-        QosEvent q;
-        q.at = add_signed_delta(prev_qos.at, data, pos);
-        q.op_id = get_u64_delta(data, pos, prev_qos.op_id);
-        if (pos >= data.size()) throw std::runtime_error("binary SDDF: truncated qos record");
-        const auto kind = static_cast<std::uint8_t>(data[pos++]);
-        if (kind >= kQosKindCount) throw std::runtime_error("binary SDDF: unknown qos kind");
-        q.kind = static_cast<QosKind>(kind);
-        q.node = static_cast<std::int32_t>(add_signed_delta(prev_qos.node, data, pos));
-        q.target = static_cast<std::int32_t>(add_signed_delta(prev_qos.target, data, pos));
-        q.info = get_u64_delta(data, pos, prev_qos.info);
-        prev_qos = q;
-        // siolint:allow(trace-vector-growth)
-        tf.qos.push_back(q);
-        break;
-      }
-      case kTagLoss: {
-        LossEvent l;
-        l.at = add_signed_delta(prev_loss.at, data, pos);
-        l.op_id = get_u64_delta(data, pos, prev_loss.op_id);
-        l.target = static_cast<std::int32_t>(add_signed_delta(prev_loss.target, data, pos));
-        l.file = file_from_signed(add_signed_delta(file_as_signed(prev_loss.file), data, pos),
-                                  tf.file_names.size());
-        l.offset = get_u64_delta(data, pos, prev_loss.offset);
-        l.bytes = get_u64_delta(data, pos, prev_loss.bytes);
-        l.torn = varint::get(data, pos);
-        prev_loss = l;
-        // siolint:allow(trace-vector-growth)
-        tf.losses.push_back(l);
-        break;
-      }
-      case kTagIntegrity: {
-        IntegrityEvent g;
-        g.at = add_signed_delta(prev_integrity.at, data, pos);
-        if (pos >= data.size()) {
-          throw std::runtime_error("binary SDDF: truncated integrity record");
-        }
-        const auto kind = static_cast<std::uint8_t>(data[pos++]);
-        if (kind >= kIntegrityKindCount) {
-          throw std::runtime_error("binary SDDF: unknown integrity kind");
-        }
-        g.kind = static_cast<IntegrityKind>(kind);
-        g.target = static_cast<std::int32_t>(add_signed_delta(prev_integrity.target, data, pos));
-        g.file = file_from_signed(
-            add_signed_delta(file_as_signed(prev_integrity.file), data, pos),
-            tf.file_names.size());
-        g.unit = get_u64_delta(data, pos, prev_integrity.unit);
-        g.bytes = get_u64_delta(data, pos, prev_integrity.bytes);
-        prev_integrity = g;
-        // siolint:allow(trace-vector-growth)
-        tf.integrity.push_back(g);
-        break;
-      }
       case kTagSpan: {
         SpanEvent s;
         const sim::Tick end = add_signed_delta(prev_span.end(), data, pos);
@@ -437,12 +365,7 @@ TraceFile from_binary_sddf(std::string_view container) {
           throw std::runtime_error("binary SDDF: span parent out of range");
         }
         s.parent = parent_dist == 0 ? 0 : s.span - static_cast<std::uint32_t>(parent_dist);
-        if (pos >= data.size()) throw std::runtime_error("binary SDDF: truncated span record");
-        const auto stage = static_cast<std::uint8_t>(data[pos++]);
-        if (stage >= obs::kStageKindCount) {
-          throw std::runtime_error("binary SDDF: unknown span stage");
-        }
-        s.stage = static_cast<obs::StageKind>(stage);
+        s.stage = get_kind<obs::StageKind>(data, pos, "span");
         s.node = static_cast<std::int32_t>(add_signed_delta(prev_span.node, data, pos));
         s.target = static_cast<std::int32_t>(add_signed_delta(prev_span.target, data, pos));
         s.bytes = get_u64_delta(data, pos, prev_span.bytes);
@@ -453,8 +376,23 @@ TraceFile from_binary_sddf(std::string_view container) {
         tf.spans.push_back(s);
         break;
       }
-      default:
-        throw std::runtime_error("binary SDDF: unknown record tag " + std::to_string(tag));
+      default: {
+        const auto decode = [&]<class R>(std::type_identity<R>) {
+          if (tag != kSchema<R>.tag) return false;
+          R& prev = std::get<R>(prev_occurrence);
+          R r;
+          for_each_field<R>([&]<class F>(const F&) {
+            get_field<F>(data, pos, r, prev, tf.file_names.size());
+          });
+          prev = r;
+          // siolint:allow(trace-vector-growth)
+          (tf.*kSchema<R>.trace).push_back(r);
+          return true;
+        };
+        if (!any_occurrence(decode)) {
+          throw std::runtime_error("binary SDDF: unknown record tag " + std::to_string(tag));
+        }
+      }
     }
   }
   return tf;

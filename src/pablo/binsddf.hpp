@@ -15,10 +15,7 @@
 //   tag 0x01          file-table entry: varint name length + name bytes.
 //                     Ids are implicit and dense in order of appearance, and
 //                     an entry must precede any record referencing its id.
-//   tag 0x02          fault record
-//   tag 0x03          qos record
-//   tag 0x04          loss record
-//   tag 0x05          integrity record
+//   tag 0x02..0x05    occurrence record: fault, qos, loss, integrity
 //   tag 0x06          span record (causal tracing)
 //   tag 0x80|op<<4|F  I/O event; op in bits 4..6, presence flags F in 0..3.
 //
@@ -37,11 +34,10 @@
 //                  independently, so interleaved sequential and strided
 //                  patterns both predict for free
 //            BYTES bytes != previous bytes of the same op
-//   fault/qos: d(at), d(op_id), kind byte, d(node), d(target), d(info), each
-//          vs the previous record of that kind
-//   loss:  d(at), d(op_id), d(target), d(file), d(offset), d(bytes), torn
-//   integrity: d(at), kind byte, d(target), d(file), d(unit), d(bytes), each
-//          vs the previous integrity record
+//   occurrence records: each field of the record's schema, in order, coded
+//          as the schema says: d(field), a kind byte, a file-id delta or a
+//          plain varint, each vs the previous record of that kind.  Their
+//          fields and codings live only in record_schema.hpp.
 //   span:  d(end), d(duration), d(op_id), d(span id), span-parent distance
 //          (0 = root), stage byte, d(node), d(target), d(bytes), flags,
 //          d(info), each vs the previous span record.  Spans close in end
@@ -97,10 +93,9 @@ class BinarySddfWriter {
 
   void add_file(std::string_view name);
   void add_event(const TraceEvent& ev);
-  void add_fault(const FaultEvent& ev);
-  void add_qos(const QosEvent& ev);
-  void add_loss(const LossEvent& ev);
-  void add_integrity(const IntegrityEvent& ev);
+  /// Adds one occurrence record (any type in `Occurrences`).
+  template <class R>
+  void add(const R& ev);
   void add_span(const SpanEvent& ev);
 
   /// Writes the end marker, closes the last frame and flushes.  Returns the
@@ -155,10 +150,7 @@ class BinarySddfWriter {
   std::array<std::uint64_t, kIoOpCount> prev_bytes_{};
   /// Last (offset, bytes) per (node, op) — the sequential-access predictor.
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> prev_no_off_;
-  FaultEvent prev_fault_{};
-  QosEvent prev_qos_{};
-  LossEvent prev_loss_{};
-  IntegrityEvent prev_integrity_{};
+  Occurrences prev_occurrence_{};
   SpanEvent prev_span_{};
 };
 

@@ -23,11 +23,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "pablo/binsddf.hpp"
 #include "pablo/event.hpp"
+#include "pablo/record_schema.hpp"
 #include "pablo/streaming.hpp"
 #include "sim/assert.hpp"
 #include "sim/engine.hpp"
@@ -48,11 +50,11 @@ class Collector : public obs::SpanSink {
   explicit Collector(sim::Engine& engine) : engine_(engine) {
     // Typical paper-scale runs record a few thousand events; reserving up
     // front keeps the hot record() path free of early regrowth.
-    events_.reserve(4096);
-    faults_.reserve(256);
-    qos_.reserve(1024);
-    losses_.reserve(64);
-    integrity_.reserve(128);
+    trace_.events.reserve(4096);
+    trace_.faults.reserve(256);
+    trace_.qos.reserve(1024);
+    trace_.losses.reserve(64);
+    trace_.integrity.reserve(128);
   }
 
   Collector(const Collector&) = delete;
@@ -63,11 +65,11 @@ class Collector : public obs::SpanSink {
 
   /// Name of a registered file.
   const std::string& file_name(FileId id) const {
-    SIO_ASSERT(id < files_.size());
-    return files_[id];
+    SIO_ASSERT(id < trace_.file_names.size());
+    return trace_.file_names[id];
   }
 
-  std::size_t file_count() const { return files_.size(); }
+  std::size_t file_count() const { return trace_.file_names.size(); }
 
   /// Appends one finished operation to the trace.
   void record(const TraceEvent& ev) {
@@ -75,69 +77,35 @@ class Collector : public obs::SpanSink {
     if (streaming_) streaming_->on_event(ev);
     if (bin_writer_) bin_writer_->add_event(ev);
     if (retain_events_) {
-      events_.push_back(ev);  // siolint:allow(trace-vector-growth) gated by set_retain_events
+      trace_.events.push_back(ev);  // siolint:allow(trace-vector-growth) gated by set_retain_events
       sorted_ = false;
     }
     ++events_recorded_;
     if ((events_recorded_ & 0x3ff) == 0) note_peak();
   }
 
-  /// Appends one fault/recovery occurrence.  Fault events are recorded at
-  /// the simulated time they happen, so the list is chronological by
-  /// construction (no lazy sort needed).
-  void record_fault(const FaultEvent& ev) {
+  /// Appends one occurrence record: a fault/recovery occurrence, an
+  /// overload-protection verdict or breaker transition, an acknowledged-data
+  /// loss, or an end-to-end integrity occurrence.  Each is recorded at the
+  /// simulated time it happens, so its list is chronological by construction
+  /// (no lazy sort needed).
+  template <Occurrence R>
+  void record(const R& ev) {
     if (!enabled_) return;
-    if (bin_writer_) bin_writer_->add_fault(ev);
+    if constexpr (std::is_same_v<R, IntegrityEvent>) {
+      if (streaming_) streaming_->on_integrity(ev);
+    }
+    if (bin_writer_) bin_writer_->add(ev);
     if (retain_events_) {
-      faults_.push_back(ev);  // siolint:allow(trace-vector-growth) gated by set_retain_events
+      // siolint:allow(trace-vector-growth) gated by set_retain_events
+      (trace_.*kSchema<R>.trace).push_back(ev);
     }
   }
 
-  const std::vector<FaultEvent>& fault_events() const { return faults_; }
-  std::size_t fault_count() const { return faults_.size(); }
-
-  /// Appends one overload-protection occurrence (admission verdicts, credits,
-  /// breaker transitions).  Recorded at the simulated time it happens, so the
-  /// list is chronological by construction.
-  void record_qos(const QosEvent& ev) {
-    if (!enabled_) return;
-    if (bin_writer_) bin_writer_->add_qos(ev);
-    if (retain_events_) {
-      qos_.push_back(ev);  // siolint:allow(trace-vector-growth) gated by set_retain_events
-    }
-  }
-
-  const std::vector<QosEvent>& qos_events() const { return qos_; }
-  std::size_t qos_count() const { return qos_.size(); }
-
-  /// Appends one acknowledged-data-loss occurrence (a crash dropping a dirty
-  /// write-behind unit).  Recorded at the simulated time of the crash, so the
-  /// list is chronological by construction.
-  void record_loss(const LossEvent& ev) {
-    if (!enabled_) return;
-    if (bin_writer_) bin_writer_->add_loss(ev);
-    if (retain_events_) {
-      losses_.push_back(ev);  // siolint:allow(trace-vector-growth) gated by set_retain_events
-    }
-  }
-
-  const std::vector<LossEvent>& loss_events() const { return losses_; }
-  std::size_t loss_count() const { return losses_.size(); }
-
-  /// Appends one end-to-end integrity occurrence (corruption injected,
-  /// detected, repaired, or silently served).  Recorded at the simulated time
-  /// it happens, so the list is chronological by construction.
-  void record_integrity(const IntegrityEvent& ev) {
-    if (!enabled_) return;
-    if (streaming_) streaming_->on_integrity(ev);
-    if (bin_writer_) bin_writer_->add_integrity(ev);
-    if (retain_events_) {
-      integrity_.push_back(ev);  // siolint:allow(trace-vector-growth) gated by set_retain_events
-    }
-  }
-
-  const std::vector<IntegrityEvent>& integrity_events() const { return integrity_; }
-  std::size_t integrity_count() const { return integrity_.size(); }
+  const std::vector<FaultEvent>& fault_events() const { return trace_.faults; }
+  const std::vector<QosEvent>& qos_events() const { return trace_.qos; }
+  const std::vector<LossEvent>& loss_events() const { return trace_.losses; }
+  const std::vector<IntegrityEvent>& integrity_events() const { return trace_.integrity; }
 
   /// Receives each closed causal-tracing span from the tracer (SpanSink).
   /// Spans close in end-time order, so the list is chronological by
@@ -147,12 +115,11 @@ class Collector : public obs::SpanSink {
     if (streaming_) streaming_->on_span(ev);
     if (bin_writer_) bin_writer_->add_span(ev);
     if (retain_events_) {
-      spans_.push_back(ev);  // siolint:allow(trace-vector-growth) gated by set_retain_events
+      trace_.spans.push_back(ev);  // siolint:allow(trace-vector-growth) gated by set_retain_events
     }
   }
 
-  const std::vector<SpanEvent>& span_events() const { return spans_; }
-  std::size_t span_count() const { return spans_.size(); }
+  const std::vector<SpanEvent>& span_events() const { return trace_.spans; }
 
   /// Turns causal tracing on: every client op opens a span tree through the
   /// layers, emitted into this collector on close.  Call before the run.
@@ -185,7 +152,7 @@ class Collector : public obs::SpanSink {
   void enable_streaming(StreamingConfig cfg = {}) {
     SIO_ASSERT(!streaming_);
     streaming_.emplace(cfg);
-    for (std::size_t i = 0; i < files_.size(); ++i) {
+    for (std::size_t i = 0; i < trace_.file_names.size(); ++i) {
       streaming_->ensure_file(static_cast<FileId>(i));
     }
   }
@@ -193,7 +160,7 @@ class Collector : public obs::SpanSink {
   StreamingAnalytics* streaming() { return streaming_ ? &*streaming_ : nullptr; }
   const StreamingAnalytics* streaming() const { return streaming_ ? &*streaming_ : nullptr; }
 
-  /// When off, record() stops appending to the event/fault/qos/loss vectors —
+  /// When off, record() stops appending to the record vectors —
   /// the replay-based analyses see an empty trace, and only the streaming
   /// aggregates / binary writer observe the run.  Default on.
   void set_retain_events(bool on) { retain_events_ = on; }
@@ -207,10 +174,10 @@ class Collector : public obs::SpanSink {
   void enable_binary_trace(BinarySddfWriter::Sink sink = {},
                            std::size_t flush_threshold = 64 * 1024) {
     SIO_ASSERT(!bin_writer_);
-    SIO_ASSERT(events_.empty() && faults_.empty() && qos_.empty() && losses_.empty() &&
-               integrity_.empty() && spans_.empty() && events_recorded_ == 0);
+    SIO_ASSERT(events_recorded_ == 0);
+    for_each_record_vector(trace_, [](const auto& v) { SIO_ASSERT(v.empty()); });
     bin_writer_.emplace(std::move(sink), flush_threshold);
-    for (const std::string& name : files_) bin_writer_->add_file(name);
+    for (const std::string& name : trace_.file_names) bin_writer_->add_file(name);
   }
 
   BinarySddfWriter* binary_writer() { return bin_writer_ ? &*bin_writer_ : nullptr; }
@@ -227,7 +194,14 @@ class Collector : public obs::SpanSink {
   /// cached; recording new events invalidates the cache.
   const std::vector<TraceEvent>& events() const;
 
-  std::size_t event_count() const { return events_.size(); }
+  /// The file registry and every retained record, events sorted as events()
+  /// returns them.
+  const TraceFile& trace() const {
+    events();
+    return trace_;
+  }
+
+  std::size_t event_count() const { return trace_.events.size(); }
 
   /// Total events recorded, whether or not they were retained.
   std::uint64_t events_recorded() const { return events_recorded_; }
@@ -256,12 +230,7 @@ class Collector : public obs::SpanSink {
 
   /// Removes all recorded events (keeps the file registry).
   void clear() {
-    events_.clear();
-    faults_.clear();
-    qos_.clear();
-    losses_.clear();
-    integrity_.clear();
-    spans_.clear();
+    for_each_record_vector(trace_, [](auto& v) { v.clear(); });
     sorted_ = false;
   }
 
@@ -271,13 +240,9 @@ class Collector : public obs::SpanSink {
   void note_peak() const;
 
   sim::Engine& engine_;
-  std::vector<std::string> files_;
-  mutable std::vector<TraceEvent> events_;
-  std::vector<FaultEvent> faults_;
-  std::vector<QosEvent> qos_;
-  std::vector<LossEvent> losses_;
-  std::vector<IntegrityEvent> integrity_;
-  std::vector<SpanEvent> spans_;
+  /// The file registry and every retained record.  Mutable so events() can
+  /// sort the events lazily.
+  mutable TraceFile trace_;
   std::optional<StreamingAnalytics> streaming_;
   std::optional<BinarySddfWriter> bin_writer_;
   std::optional<obs::Tracer> tracer_;

@@ -10,7 +10,10 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "obs/span.hpp"
 #include "sim/time.hpp"
@@ -226,6 +229,35 @@ constexpr bool trace_event_before(const TraceEvent& a, const TraceEvent& b) {
   if (a.start != b.start) return a.start < b.start;
   if (a.node != b.node) return a.node < b.node;
   return static_cast<int>(a.op) < static_cast<int>(b.op);
+}
+
+/// The four occurrence records, in the order both dialects write them.
+/// Each one's fields and codings live in record_schema.hpp.
+using Occurrences = std::tuple<FaultEvent, QosEvent, LossEvent, IntegrityEvent>;
+
+/// A whole trace: the file-name table and every record family.  The
+/// collector retains one and the SDDF readers (sddf.hpp, binsddf.hpp)
+/// produce one.
+struct TraceFile {
+  std::vector<std::string> file_names;
+  std::vector<TraceEvent> events;
+  std::vector<FaultEvent> faults;
+  std::vector<QosEvent> qos;
+  std::vector<LossEvent> losses;
+  std::vector<IntegrityEvent> integrity;
+  std::vector<SpanEvent> spans;
+};
+
+/// Calls `f` on each record vector of `t` (a TraceFile, const or not):
+/// the events, the four occurrence families and the spans.
+template <class T, class F>
+void for_each_record_vector(T& t, F&& f) {
+  f(t.events);
+  f(t.faults);
+  f(t.qos);
+  f(t.losses);
+  f(t.integrity);
+  f(t.spans);
 }
 
 }  // namespace sio::pablo

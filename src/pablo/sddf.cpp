@@ -9,29 +9,29 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <tuple>
+#include <type_traits>
+
+#include "pablo/record_schema.hpp"
 
 namespace sio::pablo {
 
 namespace {
 constexpr std::string_view kMagic = "#SDDF-IO 1";
 constexpr std::string_view kFields = "#fields start_ns duration_ns node file op offset bytes";
-constexpr std::string_view kFaultFields = "#fault-fields at_ns op_id kind node target info";
-constexpr std::string_view kQosFields = "#qos-fields at_ns op_id kind node target info";
-constexpr std::string_view kLossFields = "#loss-fields at_ns op_id target file offset bytes torn";
-constexpr std::string_view kIntegrityFields = "#integrity-fields at_ns kind target file unit bytes";
 constexpr std::string_view kSpanFields =
     "#span-fields start_ns duration_ns op_id span parent stage node target bytes flags info";
 
 /// Parses a record's file-id field: "-" (no file) or the decimal id of an
 /// entry already in the file table.  Non-digits, overflow and ids at or past
 /// the end of the table all throw std::runtime_error naming `record`.
-FileId parse_file_field(const std::string& field, std::size_t table_size, const char* record) {
+FileId parse_file_field(const std::string& field, std::size_t table_size, std::string_view record) {
   if (field == "-") return kNoFile;
   std::uint64_t id = 0;
   const char* end = field.data() + field.size();
   const auto [ptr, ec] = std::from_chars(field.data(), end, id);
   if (ec != std::errc{} || ptr != end || id >= table_size) {
-    throw std::runtime_error(std::string("SDDF: ") + record + " references unknown file id '" +
+    throw std::runtime_error("SDDF: " + std::string(record) + " references unknown file id '" +
                              field + "'");
   }
   return static_cast<FileId>(id);
@@ -95,6 +95,69 @@ class TextWriter {
   std::string buf_;
   std::size_t len_ = 0;
 };
+
+/// One occurrence field as the writer formats it.
+template <class F, class R>
+auto text_value(const F&, const R& r) {
+  const auto v = r.*F::member;
+  if constexpr (F::coding == Coding::kKind) {
+    return name_table(v).name(v);
+  } else if constexpr (F::coding == Coding::kFile) {
+    return FileField{v};
+  } else {
+    return v;
+  }
+}
+
+/// Writes one occurrence family: its `-fields` header, then one line per
+/// record.  Writes nothing for an empty family.
+template <class R>
+void write_records(TextWriter& w, const std::vector<R>& records) {
+  if (records.empty()) return;
+  constexpr std::string_view name = kSchema<R>.name;
+  std::apply(
+      [&](const auto&... field) {
+        w.line(std::string(name) + "-fields", field.column...);
+        for (const R& r : records) w.line(name, text_value(field, r)...);
+      },
+      kSchema<R>.fields);
+}
+
+/// Parses `line` into tf's R family if it is an R record ("#fault ...", not
+/// "#fault-fields ...").  Like one `>>` chain, every field is extracted
+/// before the kind and file tokens are checked, in field order.
+template <class R>
+bool read_record(const std::string& line, TraceFile& tf) {
+  constexpr std::string_view name = kSchema<R>.name;
+  if (line.size() <= name.size() || line[name.size()] != ' ' || !line.starts_with(name)) {
+    return false;
+  }
+  std::istringstream ls(line.substr(name.size() + 1));
+  R r;
+  std::string kind_token;
+  std::string file_token;
+  for_each_field<R>([&]<class F>(const F&) {
+    if constexpr (F::coding == Coding::kKind) {
+      ls >> kind_token;
+    } else if constexpr (F::coding == Coding::kFile) {
+      ls >> file_token;
+    } else {
+      ls >> r.*F::member;
+    }
+  });
+  if (!ls) throw std::runtime_error("SDDF: bad " + std::string(name) + " line: " + line);
+  for_each_field<R>([&]<class F>(const F&) {
+    auto& v = r.*F::member;
+    if constexpr (F::coding == Coding::kKind) {
+      v = parse_name<std::remove_reference_t<decltype(v)>>(kind_token);
+    } else if constexpr (F::coding == Coding::kFile) {
+      v = parse_file_field(file_token, tf.file_names.size(), name);
+    }
+  });
+  // siolint:allow(trace-vector-growth) batch decode materializes
+  (tf.*kSchema<R>.trace).push_back(r);
+  return true;
+}
 }  // namespace
 
 bool is_portable_file_name(std::string_view name) {
@@ -106,46 +169,6 @@ bool is_portable_file_name(std::string_view name) {
   return true;
 }
 
-IoOp parse_io_op(const std::string& name) {
-  for (int i = 0; i < kIoOpCount; ++i) {
-    const auto op = static_cast<IoOp>(i);
-    if (io_op_name(op) == name) return op;
-  }
-  throw std::runtime_error("SDDF: unknown I/O operation '" + name + "'");
-}
-
-FaultKind parse_fault_kind(const std::string& name) {
-  for (int i = 0; i < kFaultKindCount; ++i) {
-    const auto k = static_cast<FaultKind>(i);
-    if (fault_kind_name(k) == name) return k;
-  }
-  throw std::runtime_error("SDDF: unknown fault kind '" + name + "'");
-}
-
-QosKind parse_qos_kind(const std::string& name) {
-  for (int i = 0; i < kQosKindCount; ++i) {
-    const auto k = static_cast<QosKind>(i);
-    if (qos_kind_name(k) == name) return k;
-  }
-  throw std::runtime_error("SDDF: unknown qos kind '" + name + "'");
-}
-
-IntegrityKind parse_integrity_kind(const std::string& name) {
-  for (int i = 0; i < kIntegrityKindCount; ++i) {
-    const auto k = static_cast<IntegrityKind>(i);
-    if (integrity_kind_name(k) == name) return k;
-  }
-  throw std::runtime_error("SDDF: unknown integrity kind '" + name + "'");
-}
-
-obs::StageKind parse_stage_kind(const std::string& name) {
-  for (int i = 0; i < obs::kStageKindCount; ++i) {
-    const auto k = static_cast<obs::StageKind>(i);
-    if (obs::stage_name(k) == name) return k;
-  }
-  throw std::runtime_error("SDDF: unknown span stage '" + name + "'");
-}
-
 void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
                 const std::vector<TraceEvent>& events, const std::vector<FaultEvent>& faults,
                 const std::vector<QosEvent>& qos, const std::vector<LossEvent>& losses,
@@ -155,31 +178,10 @@ void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
   w.line(kMagic);
   w.line(kFields);
   for (std::size_t i = 0; i < file_names.size(); ++i) w.line("#file", i, file_names[i]);
-  if (!faults.empty()) {
-    w.line(kFaultFields);
-    for (const auto& f : faults) {
-      w.line("#fault", f.at, f.op_id, fault_kind_name(f.kind), f.node, f.target, f.info);
-    }
-  }
-  if (!qos.empty()) {
-    w.line(kQosFields);
-    for (const auto& q : qos) {
-      w.line("#qos", q.at, q.op_id, qos_kind_name(q.kind), q.node, q.target, q.info);
-    }
-  }
-  if (!losses.empty()) {
-    w.line(kLossFields);
-    for (const auto& l : losses) {
-      w.line("#loss", l.at, l.op_id, l.target, FileField{l.file}, l.offset, l.bytes, l.torn);
-    }
-  }
-  if (!integrity.empty()) {
-    w.line(kIntegrityFields);
-    for (const auto& g : integrity) {
-      w.line("#integrity", g.at, integrity_kind_name(g.kind), g.target, FileField{g.file},
-             g.unit, g.bytes);
-    }
-  }
+  write_records(w, faults);
+  write_records(w, qos);
+  write_records(w, losses);
+  write_records(w, integrity);
   if (!spans.empty()) {
     w.line(kSpanFields);
     for (const auto& s : spans) {
@@ -195,13 +197,8 @@ void write_sddf(std::ostream& out, const std::vector<std::string>& file_names,
 }
 
 void write_sddf(std::ostream& out, const Collector& collector) {
-  std::vector<std::string> names;
-  names.reserve(collector.file_count());
-  for (std::size_t i = 0; i < collector.file_count(); ++i) {
-    names.push_back(collector.file_name(static_cast<FileId>(i)));
-  }
-  write_sddf(out, names, collector.events(), collector.fault_events(), collector.qos_events(),
-             collector.loss_events(), collector.integrity_events(), collector.span_events());
+  const TraceFile& t = collector.trace();
+  write_sddf(out, t.file_names, t.events, t.faults, t.qos, t.losses, t.integrity, t.spans);
 }
 
 TraceFile read_sddf(std::istream& in) {
@@ -231,52 +228,7 @@ TraceFile read_sddf(std::istream& in) {
       tf.file_names.push_back(path);
       continue;
     }
-    // The trailing space keeps "#fault-fields" falling through to the
-    // generic comment skip below.
-    if (line.rfind("#fault ", 0) == 0) {
-      std::istringstream ls(line.substr(7));
-      FaultEvent f;
-      std::string kind_name;
-      if (!(ls >> f.at >> f.op_id >> kind_name >> f.node >> f.target >> f.info)) {
-        throw std::runtime_error("SDDF: bad #fault line: " + line);
-      }
-      f.kind = parse_fault_kind(kind_name);
-      tf.faults.push_back(f);  // siolint:allow(trace-vector-growth) batch decode materializes
-      continue;
-    }
-    if (line.rfind("#qos ", 0) == 0) {
-      std::istringstream ls(line.substr(5));
-      QosEvent q;
-      std::string kind_name;
-      if (!(ls >> q.at >> q.op_id >> kind_name >> q.node >> q.target >> q.info)) {
-        throw std::runtime_error("SDDF: bad #qos line: " + line);
-      }
-      q.kind = parse_qos_kind(kind_name);
-      tf.qos.push_back(q);  // siolint:allow(trace-vector-growth) batch decode materializes
-      continue;
-    }
-    if (line.rfind("#integrity ", 0) == 0) {
-      std::istringstream ls(line.substr(11));
-      IntegrityEvent g;
-      std::string kind_name;
-      std::string file_field;
-      if (!(ls >> g.at >> kind_name >> g.target >> file_field >> g.unit >> g.bytes)) {
-        throw std::runtime_error("SDDF: bad #integrity line: " + line);
-      }
-      g.kind = parse_integrity_kind(kind_name);
-      g.file = parse_file_field(file_field, tf.file_names.size(), "#integrity");
-      tf.integrity.push_back(g);  // siolint:allow(trace-vector-growth) batch decode materializes
-      continue;
-    }
-    if (line.rfind("#loss ", 0) == 0) {
-      std::istringstream ls(line.substr(6));
-      LossEvent l;
-      std::string file_field;
-      if (!(ls >> l.at >> l.op_id >> l.target >> file_field >> l.offset >> l.bytes >> l.torn)) {
-        throw std::runtime_error("SDDF: bad #loss line: " + line);
-      }
-      l.file = parse_file_field(file_field, tf.file_names.size(), "#loss");
-      tf.losses.push_back(l);  // siolint:allow(trace-vector-growth) batch decode materializes
+    if (any_occurrence([&]<class R>(std::type_identity<R>) { return read_record<R>(line, tf); })) {
       continue;
     }
     if (line.rfind("#span ", 0) == 0) {
@@ -287,7 +239,7 @@ TraceFile read_sddf(std::istream& in) {
             s.node >> s.target >> s.bytes >> s.flags >> s.info)) {
         throw std::runtime_error("SDDF: bad #span line: " + line);
       }
-      s.stage = parse_stage_kind(stage_field);
+      s.stage = parse_name<obs::StageKind>(stage_field);
       // Same limits as the binary dialect: the end tick must fit in 64 bits
       // and a parent opens before its child.
       sim::Tick end = 0;
@@ -311,7 +263,7 @@ TraceFile read_sddf(std::istream& in) {
       throw std::runtime_error("SDDF: truncated record: " + line);
     }
     ev.file = parse_file_field(file_field, tf.file_names.size(), "record");
-    ev.op = parse_io_op(op_name);
+    ev.op = parse_name<IoOp>(op_name);
     tf.events.push_back(ev);  // siolint:allow(trace-vector-growth) batch decode materializes
   }
   return tf;

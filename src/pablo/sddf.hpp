@@ -12,17 +12,14 @@
 //   #SDDF-IO 1
 //   #fields start_ns duration_ns node file op offset bytes
 //   #file <id> <path>            (one per registered file)
-//   #fault-fields at_ns op_id kind node target info  (when faults present)
-//   #fault <at> <op_id> <kind-name> <node> <target> <info>
-//   #qos-fields at_ns op_id kind node target info    (when QoS records present)
-//   #qos <at> <op_id> <kind-name> <node> <target> <info>
-//   #loss-fields at_ns op_id target file offset bytes torn (when losses present)
-//   #loss <at> <op_id> <target> <file> <offset> <bytes> <torn>
-//   #integrity-fields at_ns kind target file unit bytes (when present)
-//   #integrity <at> <kind-name> <target> <file> <unit> <bytes>
+//   #<rec>-fields <columns>      (per occurrence family present; see below)
+//   #<rec> <one value per column>
 //   #span-fields start_ns duration_ns op_id span parent stage node target bytes flags info
 //   #span <start> <dur> <op_id> <span> <parent> <stage-name> <node> <target> <bytes> <flags> <info>
 //   <records: one event per line, space separated, op by name>
+//
+// The occurrence records are #fault, #qos, #loss and #integrity; their
+// columns and field order live only in record_schema.hpp.
 //
 // `#fault` records extend the dialect for fault-injection runs, `#qos`
 // records for overload-protection runs, `#loss` records for crash-induced
@@ -44,18 +41,6 @@
 #include "pablo/event.hpp"
 
 namespace sio::pablo {
-
-/// A deserialized trace: events plus the file-name table and any fault
-/// records the run carried.
-struct TraceFile {
-  std::vector<std::string> file_names;
-  std::vector<TraceEvent> events;
-  std::vector<FaultEvent> faults;
-  std::vector<QosEvent> qos;
-  std::vector<LossEvent> losses;
-  std::vector<IntegrityEvent> integrity;
-  std::vector<SpanEvent> spans;
-};
 
 /// Writes the collector's registered files, events and every other record
 /// family to `out`.
@@ -82,24 +67,5 @@ TraceFile read_sddf(std::istream& in);
 /// Convenience round trip through a string (used by tests and tools).
 std::string to_sddf_string(const Collector& collector);
 TraceFile from_sddf_string(const std::string& text);
-
-/// Parses an operation name ("open", "gopen", ...); throws on unknown names.
-IoOp parse_io_op(const std::string& name);
-
-/// Parses a fault-kind name ("disk-degraded", "op-retry", ...); throws on
-/// unknown names.
-FaultKind parse_fault_kind(const std::string& name);
-
-/// Parses a QoS-kind name ("admit", "breaker-open", ...); throws on unknown
-/// names.
-QosKind parse_qos_kind(const std::string& name);
-
-/// Parses an integrity-kind name ("bit-rot", "read-repair", ...); throws on
-/// unknown names.
-IntegrityKind parse_integrity_kind(const std::string& name);
-
-/// Parses a span stage name ("op", "admit", "disk", ...); throws on unknown
-/// names.
-obs::StageKind parse_stage_kind(const std::string& name);
 
 }  // namespace sio::pablo

@@ -278,14 +278,16 @@ sim::Task<Pfs::Attempt> Pfs::segment_attempt(hw::NodeId node, FileState* file, S
       if (w.seen % static_cast<std::uint64_t>(w.every_n) == 0) {
         if (cfg_.server.integrity.enabled()) {
           ++link_corrupt_detected_;
-          collector_.record_integrity({now, pablo::IntegrityKind::kLinkCorrupt, seg.io_node,
-                                       file->id, seg.unit_index, seg.length});
+          collector_.record(pablo::IntegrityEvent{now, pablo::IntegrityKind::kLinkCorrupt,
+                                                  seg.io_node, file->id, seg.unit_index,
+                                                  seg.length});
           co_return Attempt{false, false, 0, true};
         }
         ++link_corrupt_acks_;
         link_corrupt_bytes_acked_ += seg.length;
-        collector_.record_integrity({now, pablo::IntegrityKind::kCorruptAck, seg.io_node,
-                                     file->id, seg.unit_index, seg.length});
+        collector_.record(pablo::IntegrityEvent{now, pablo::IntegrityKind::kCorruptAck,
+                                                seg.io_node, file->id, seg.unit_index,
+                                                seg.length});
       }
       break;
     }
@@ -374,16 +376,16 @@ sim::Task<void> Pfs::transfer_segment(hw::NodeId node, FileState* file, StripeSe
   const auto fail_if_last = [&](int attempt, const char* what) {
     if (attempt < rp.max_retries) return;
     ++failed_ops_;
-    collector_.record_fault(
-        {engine.now(), op_id, pablo::FaultKind::kOpFailed, node, seg.io_node, 0});
+    collector_.record(
+        pablo::FaultEvent{engine.now(), op_id, pablo::FaultKind::kOpFailed, node, seg.io_node, 0});
     throw PfsError(std::string("segment transfer ") + what + " after retries (io node " +
                    std::to_string(seg.io_node) + ")");
   };
   const auto retry = [&](int attempt, const char* what) {
     fail_if_last(attempt, what);
     ++retries_;
-    collector_.record_fault({engine.now(), op_id, pablo::FaultKind::kOpRetry, node,
-                             seg.io_node, static_cast<std::uint64_t>(attempt + 1)});
+    collector_.record(pablo::FaultEvent{engine.now(), op_id, pablo::FaultKind::kOpRetry, node,
+                                        seg.io_node, static_cast<std::uint64_t>(attempt + 1)});
   };
   for (int attempt = 0;; ++attempt) {
     if (br != nullptr && !br->allow_attempt(node)) {
@@ -391,8 +393,8 @@ sim::Task<void> Pfs::transfer_segment(hw::NodeId node, FileState* file, StripeSe
       if (!is_write && server_count() >= 2) {
         // Reads don't need it — serve from the surviving shares + parity.
         ++reroutes_;
-        collector_.record_qos(
-            {engine.now(), op_id, pablo::QosKind::kReroute, node, seg.io_node, 0});
+        collector_.record(
+            pablo::QosEvent{engine.now(), op_id, pablo::QosKind::kReroute, node, seg.io_node, 0});
         obs::SpanScope rr_span(seg_span.ctx(), obs::StageKind::kReroute, node, seg.io_node,
                                seg.length);
         auto& slot = *rebuild_slots_[static_cast<std::size_t>(seg.io_node)];
@@ -404,8 +406,8 @@ sim::Task<void> Pfs::transfer_segment(hw::NodeId node, FileState* file, StripeSe
       // Writes (and single-node layouts) must land on that node; hold them
       // back until the breaker is willing to probe again.
       ++breaker_holds_;
-      collector_.record_qos(
-          {engine.now(), op_id, pablo::QosKind::kBreakerHold, node, seg.io_node, 0});
+      collector_.record(
+          pablo::QosEvent{engine.now(), op_id, pablo::QosKind::kBreakerHold, node, seg.io_node, 0});
       fail_if_last(attempt, "failed");
       {
         obs::SpanScope hold_span(seg_span.ctx(), obs::StageKind::kBackoff, node, seg.io_node);
@@ -481,8 +483,8 @@ sim::Task<void> Pfs::transfer_segment(hw::NodeId node, FileState* file, StripeSe
     // retry/replay coalescing within an attempt or two); only a persistent
     // per-op timeout streak is evidence the node is unreachable.
     if (br != nullptr && attempt >= cfg_.qos.breaker_attempt_threshold) br->on_failure(node);
-    collector_.record_fault({engine.now(), op_id, pablo::FaultKind::kOpTimeout, node,
-                             seg.io_node, static_cast<std::uint64_t>(attempt)});
+    collector_.record(pablo::FaultEvent{engine.now(), op_id, pablo::FaultKind::kOpTimeout, node,
+                                        seg.io_node, static_cast<std::uint64_t>(attempt)});
     retry(attempt, "failed");
     const sim::Tick b = backoff(backoff_for(attempt));
     if (b > 0) {

@@ -39,7 +39,7 @@ void IoServer::emit_loss(const UnitSlot& s, bool torn) {
   ev.offset = s.unit * stripe_unit_;
   ev.bytes = ledger_.acked_undurable_bytes(s.file, s.unit);
   ev.torn = torn ? 1 : 0;
-  collector_->record_loss(ev);
+  collector_->record(ev);
 }
 
 void IoServer::crash(bool torn) {
@@ -74,7 +74,7 @@ void IoServer::crash(bool torn) {
       f.kind = pablo::FaultKind::kJournalAbort;
       f.target = id_;
       f.info = journal_.unapplied().size();
-      collector_->record_fault(f);
+      collector_->record(f);
     }
   }
   for (UnitSlot* s = lru_.front(); s != nullptr; s = lru_.next(*s)) {
@@ -240,7 +240,7 @@ sim::Task<void> IoServer::recover(std::uint64_t epoch) {
     f.kind = pablo::FaultKind::kJournalRecovery;
     f.target = id_;
     f.info = journal_.mode() == JournalMode::kFull ? redone : detected;
-    collector_->record_fault(f);
+    collector_->record(f);
   }
   crashed_ = false;
   restart_ev_->set();

@@ -12,7 +12,7 @@ void CircuitBreaker::record(pablo::QosKind kind, int node, std::uint64_t info) {
   ev.node = node;
   ev.target = id_;
   ev.info = info;
-  collector_->record_qos(ev);
+  collector_->record(ev);
 }
 
 void CircuitBreaker::push_outcome(bool failure) {

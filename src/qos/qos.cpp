@@ -15,7 +15,7 @@ void ServerQos::record(pablo::QosKind kind, int node, std::uint64_t info, std::u
   ev.node = node;
   ev.target = id_;
   ev.info = info;
-  collector_->record_qos(ev);
+  collector_->record(ev);
 }
 
 void ServerQos::note_pending() {

@@ -422,6 +422,18 @@ TEST(SiolintTraceVectorGrowth, FiresOnIntegrityEventVectors) {
   EXPECT_EQ(diags[0].line, 3);
 }
 
+TEST(SiolintTraceVectorGrowth, FiresOnAppendsThroughMemberPointers) {
+  // The schema-driven record loops reach a TraceFile vector through a
+  // pointer to member, so no vector name appears on the line.
+  const auto diags = lint_one("src/pablo/bad.cpp",
+                              "template <class R> void keep(TraceFile& tf, const R& r) {\n"
+                              "  (tf.*RecordSchema<R>::trace).push_back(r);\n"
+                              "}\n");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "trace-vector-growth");
+  EXPECT_EQ(diags[0].line, 2);
+}
+
 TEST(SiolintTraceVectorGrowth, QuietOnBoundedVectorsAndParameters) {
   const auto diags = lint_one(
       "src/pablo/ok.cpp",

@@ -188,7 +188,7 @@ void collect_unordered_members(const std::string& stripped, std::set<std::string
   }
 }
 
-/// Finds `std::vector<TraceEvent|FaultEvent|QosEvent|LossEvent|IntegrityEvent> name`
+/// Finds `std::vector<TraceEvent|FaultEvent|QosEvent|LossEvent|IntegrityEvent|SpanEvent> name`
 /// member/variable declarations — the record containers whose size is
 /// proportional to trace length.  Reference/pointer declarations (function
 /// parameters, accessors) are skipped: only owning declarations terminated
@@ -519,6 +519,15 @@ std::vector<Diagnostic> lint(const std::vector<SourceFile>& files) {
                        "Collector::retain_events() or fold the event into "
                        "pablo::StreamingAnalytics");
           }
+        }
+        // The generic record loops append through a pointer to a TraceFile
+        // vector member, `(tf.*trace).push_back(r)`, which names no vector.
+        static const std::regex kMemberPtrGrow(
+            R"(\.\*[^()]*\)\s*\.\s*(?:push_back|emplace_back)\s*\()");
+        if (std::regex_search(line, kMemberPtrGrow)) {
+          report("trace-vector-growth",
+                 "append through a member pointer to a record vector grows memory without "
+                 "bound as the trace grows; gate it on Collector::retain_events()");
         }
       }
     }

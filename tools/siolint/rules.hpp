@@ -19,9 +19,11 @@
 //                     src/pablo/, src/core/, or src/fault/, where iteration
 //                     order could leak into a report or a fault schedule
 //   trace-vector-growth  push_back/emplace_back on a vector of trace records
-//                     (TraceEvent/FaultEvent/QosEvent/LossEvent) in
-//                     src/pablo/, which grows without bound with trace
-//                     length and defeats the streaming analytics path
+//                     (TraceEvent/FaultEvent/QosEvent/LossEvent/
+//                     IntegrityEvent/SpanEvent), by name or through a
+//                     TraceFile member pointer, in src/pablo/ or src/obs/,
+//                     which grows without bound with trace length and
+//                     defeats the streaming analytics path
 //
 // Suppression: `// siolint:allow(rule)` on the offending line, or on a
 // comment-only line immediately above it.  `siolint:allow(all)` silences
