@@ -275,13 +275,17 @@ sim::Task<std::uint64_t> FileHandle::sync(std::uint64_t bytes, bool is_write) {
   {
     obs::SpanScope sync_span(op_span_, obs::StageKind::kSync, node_);
     co_await group_->arrive([this, is_write] {
-      std::uint64_t acc = file_->shared_offset;
+      const std::uint64_t base = file_->shared_offset;
+      std::uint64_t acc = base;
       for (std::size_t r = 0; r < group_->wave_offsets().size(); ++r) {
         group_->wave_offsets()[r] = acc;
         acc += group_->scratch()[r];
       }
-      file_->shared_offset = acc;
-      if (is_write) file_->size = std::max(file_->size, acc);
+      // The pointer moves by the bytes the wave moves: a read clamped at end
+      // of file stops it there.
+      const std::uint64_t n = is_write ? acc - base : clamp_read(*file_, base, acc - base);
+      file_->shared_offset = base + n;
+      if (is_write) file_->size = std::max(file_->size, base + n);
     });
   }
   const std::uint64_t offset = group_->wave_offsets()[static_cast<std::size_t>(rank_)];

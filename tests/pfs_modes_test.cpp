@@ -438,7 +438,8 @@ TEST(ModeTrace, Sync) {
     co_await fh.close();
   });
   EXPECT_EQ(got, (std::vector<std::uint64_t>{20000, 40000, 35000, 40000}));
-  f.expect_pin("t/sync", {0x6ae84a99a55ded5fULL, 132, 235000, 300000});
+  // The clamped wave leaves the shared pointer at end of file, not past it.
+  f.expect_pin("t/sync", {0x6ae84a99a55ded5fULL, 132, 235000, 235000});
 }
 
 TEST(ModeTrace, Log) {
