@@ -9,7 +9,8 @@
 //                                               run a paper-scale experiment
 //                                               with live binary capture
 //   sddfconv selftest                           paper-scale round-trip +
-//                                               compression report
+//                                               compression report, and a
+//                                               faulted run's occurrences
 //
 // `verify` on a text trace demands full byte-identity after
 // text -> binary -> text (the goldens guarantee: analysis downstream of the
@@ -138,26 +139,49 @@ int cmd_emit(const std::string& out_path, const std::string& app) {
   return 0;
 }
 
+/// A faulted checkpoint run whose trace carries all four occurrence
+/// families: two torn crashes of I/O node 0 under full journaling, QoS
+/// admission, and bit-rot bursts on the other I/O nodes under integrity
+/// repair and scrubbing.
+core::RunResult faulted_run(const core::TraceOptions& topt) {
+  auto plan = fault::FaultPlan::io_node_crash_torn(1);
+  plan.journal = pfs::JournalMode::kFull;
+  plan.qos.enabled = true;
+  const auto rot = fault::FaultPlan::bit_rot_plan(1, pfs::IntegrityMode::kRepair);
+  plan.integrity = rot.integrity;
+  for (const auto& b : rot.bit_rot) {
+    if (b.io_node != 0) plan.bit_rot.push_back(b);  // node 0 is down part of the run
+  }
+  return core::run_ckpt(apps::ckpt::Config{}, plan, topt);
+}
+
+/// Checks that the batch-encoded and the live-captured binary traces of `r`
+/// both reproduce its text trace; returns the number of failures.
+int check_reproduces_text(const core::RunResult& r, const std::string& text,
+                          const std::string& batch) {
+  int failures = 0;
+  for (const auto& [name, bin] : {std::pair{"batch", &batch}, std::pair{"live", &r.binary_trace}}) {
+    pablo::TraceFile tf = pablo::from_binary_sddf(*bin);
+    pablo::sort_trace_events(tf.events);
+    if (trace_to_text(tf) != text) {
+      std::cerr << "sddfconv: FAIL: " << r.label << " (" << name
+                << " binary) does not reproduce the text trace\n";
+      ++failures;
+    }
+  }
+  return failures;
+}
+
 int cmd_selftest() {
+  core::TraceOptions topt;
+  topt.binary_trace = true;
+  topt.spans = true;  // `#span` records ride both dialects through the same gate
   int failures = 0;
   for (const std::string app : {"escat", "prism", "ckpt"}) {
-    core::TraceOptions topt;
-    topt.binary_trace = true;
-    topt.spans = true;  // `#span` records ride both dialects through the same gate
     const core::RunResult r = paper_run(app, topt);
     const std::string text = r.to_sddf();
-
-    // Batch-encoded and live-captured binary must both reproduce the text.
     const std::string batch = r.to_binary_sddf();
-    for (const auto& [name, bin] : {std::pair{"batch", &batch}, std::pair{"live", &r.binary_trace}}) {
-      pablo::TraceFile tf = pablo::from_binary_sddf(*bin);
-      pablo::sort_trace_events(tf.events);
-      if (trace_to_text(tf) != text) {
-        std::cerr << "sddfconv: FAIL: " << r.label << " (" << name
-                  << " binary) does not reproduce the text trace\n";
-        ++failures;
-      }
-    }
+    failures += check_reproduces_text(r, text, batch);
     const double ratio =
         batch.empty() ? 0.0 : static_cast<double>(text.size()) / static_cast<double>(batch.size());
     std::cout << "sddfconv: " << r.label << ": " << r.events.size() << " events, text "
@@ -166,6 +190,18 @@ int cmd_selftest() {
       std::cerr << "sddfconv: FAIL: compression ratio below the 5x floor\n";
       ++failures;
     }
+  }
+  // The live writer interleaves occurrence records with events and spans;
+  // only a faulted run carries them.
+  const core::RunResult r = faulted_run(topt);
+  failures += check_reproduces_text(r, r.to_sddf(), r.to_binary_sddf());
+  std::cout << "sddfconv: " << r.label << " (faulted): " << r.fault_events.size() << " faults, "
+            << r.qos_events.size() << " qos, " << r.loss_events.size() << " losses, "
+            << r.integrity_events.size() << " integrity\n";
+  if (r.fault_events.empty() || r.qos_events.empty() || r.loss_events.empty() ||
+      r.integrity_events.empty()) {
+    std::cerr << "sddfconv: FAIL: the faulted run lacks an occurrence family\n";
+    ++failures;
   }
   if (failures == 0) std::cout << "sddfconv: selftest OK\n";
   return failures == 0 ? 0 : 1;
