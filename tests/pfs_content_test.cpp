@@ -1,12 +1,19 @@
 // Tests for the sparse content store: byte-accurate round trips across chunk
-// boundaries, hole semantics, and residency accounting.
+// boundaries, hole semantics, and residency accounting.  Also the unit
+// ledger's span bookkeeping, checked op by op against a reference ledger
+// built on std::map.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "pfs/content.hpp"
+#include "sim/random.hpp"
 
 namespace sio::pfs {
 namespace {
@@ -121,6 +128,297 @@ TEST(SparseContent, ZeroLengthWriteAllocatesNothing) {
   std::vector<std::byte> out(8, std::byte{0xff});
   c.read(4090, out);  // still a hole: reads back zero
   for (const auto b : out) EXPECT_EQ(b, std::byte{0});
+}
+
+// ---- the map ledger, kept as the differential oracle ----------------------
+
+/// The unit ledger's span algebra over `std::map<begin, (end, op)>`, the
+/// structure the ledger first used: each span set is a tree of disjoint spans
+/// keyed by begin.  Units live in a map keyed by (file, unit), so iteration is
+/// in (file, unit) order like the UnitTable's.
+class RefLedger {
+ public:
+  using Status = UnitLedger::UnitStatus;
+
+  void ack(std::uint32_t f, std::uint64_t u, std::uint64_t off, std::uint64_t len,
+           std::uint64_t op) {
+    if (len == 0) return;
+    Unit& x = units_[{f, u}];
+    insert(x.acked, off, off + len, op);
+    insert(x.resident, off, off + len, op);
+  }
+  void durable(std::uint32_t f, std::uint64_t u) {
+    if (Unit* x = find(f, u)) write_back(*x, x->resident, kAll, false);
+  }
+  void torn(std::uint32_t f, std::uint64_t u, std::uint64_t prefix) {
+    if (Unit* x = find(f, u)) write_back(*x, x->resident, prefix, true);
+  }
+  void redone(std::uint32_t f, std::uint64_t u) {
+    if (Unit* x = find(f, u)) write_back(*x, x->acked, kAll, false);
+  }
+  void observe_durable(std::uint32_t f, std::uint64_t u, std::uint64_t off, std::uint64_t len) {
+    if (len == 0) return;
+    Unit& x = units_[{f, u}];
+    if (x.acked.empty()) insert(x.on_disk, off, off + len, 0);
+  }
+  void drop_residency() {
+    for (auto& [key, x] : units_) x.resident.clear();
+  }
+  std::uint64_t rot(std::uint32_t f, std::uint64_t u, std::uint64_t off, std::uint64_t len) {
+    Unit* x = find(f, u);
+    if (x == nullptr || len == 0) return 0;
+    std::uint64_t fresh = 0;
+    for (const auto& [begin, span] : x->on_disk) {
+      const std::uint64_t b = std::max(begin, off);
+      const std::uint64_t e = std::min(span.end, off + len);
+      if (b >= e) continue;
+      fresh += (e - b) - overlap(x->corrupt, b, e);
+      insert(x->corrupt, b, e, 0);
+    }
+    return fresh;
+  }
+  std::uint64_t mark_stale(std::uint32_t f, std::uint64_t u) {
+    Unit* x = find(f, u);
+    if (x == nullptr) return 0;
+    std::uint64_t fresh = 0;
+    for (const auto& [begin, span] : x->on_disk) {
+      fresh += (span.end - begin) - overlap(x->corrupt, begin, span.end);
+      insert(x->corrupt, begin, span.end, 0);
+    }
+    if (!x->corrupt.empty()) x->stale = true;
+    return fresh;
+  }
+  std::uint64_t repair(std::uint32_t f, std::uint64_t u) {
+    Unit* x = find(f, u);
+    if (x == nullptr || x->stale) return 0;
+    const std::uint64_t cleared = clipped(x->corrupt, kAll).first;
+    x->corrupt.clear();
+    return cleared;
+  }
+  std::uint64_t corrupt_overlap(std::uint32_t f, std::uint64_t u, std::uint64_t off,
+                                std::uint64_t len) {
+    Unit* x = find(f, u);
+    return x == nullptr || len == 0 ? 0 : overlap(x->corrupt, off, off + len);
+  }
+  std::uint64_t acked_undurable_bytes(std::uint32_t f, std::uint64_t u) {
+    Unit* x = find(f, u);
+    if (x == nullptr) return 0;
+    const std::uint64_t acked = clipped(x->acked, kAll).first;
+    const std::uint64_t disk = clipped(x->on_disk, kAll).first;
+    return acked > disk ? acked - disk : 0;
+  }
+  Status status(std::uint32_t f, std::uint64_t u) {
+    Unit* x = find(f, u);
+    if (x == nullptr) return {};
+    Status s;
+    std::tie(s.acked_bytes, s.acked_csum) = clipped(x->acked, kAll);
+    std::tie(s.durable_bytes, s.durable_csum) = clipped(x->on_disk, kAll);
+    s.torn = x->torn;
+    if (!x->corrupt.empty()) {
+      const auto [cbytes, ccsum] = clipped(x->corrupt, kAll);
+      s.corrupt_bytes = cbytes;
+      s.durable_csum = mix(s.durable_csum, ccsum);
+    }
+    s.stale = x->stale;
+    return s;
+  }
+  /// (file, unit) of every tracked unit, in iteration order.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> units() const {
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+    for (const auto& [key, x] : units_) out.push_back(key);
+    return out;
+  }
+
+ private:
+  static constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  struct Span {
+    std::uint64_t end = 0;
+    std::uint64_t op = 0;
+  };
+  using Spans = std::map<std::uint64_t, Span>;
+  struct Unit {
+    Spans acked, resident, on_disk, corrupt;
+    bool torn = false;
+    bool stale = false;
+  };
+
+  Unit* find(std::uint32_t f, std::uint64_t u) {
+    const auto it = units_.find({f, u});
+    return it == units_.end() ? nullptr : &it->second;
+  }
+
+  static std::uint64_t mix(std::uint64_t h, std::uint64_t v) {  // FNV-1a, 8 bytes
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+
+  static void insert(Spans& spans, std::uint64_t begin, std::uint64_t end, std::uint64_t op) {
+    auto it = spans.lower_bound(begin);
+    if (it != spans.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second.end > begin) {
+        if (prev->second.end > end) spans[end] = prev->second;
+        prev->second.end = begin;
+      }
+    }
+    it = spans.lower_bound(begin);
+    while (it != spans.end() && it->first < end) {
+      if (it->second.end <= end) {
+        it = spans.erase(it);
+      } else {
+        const Span tail = it->second;
+        spans.erase(it);
+        spans[end] = tail;
+        break;
+      }
+    }
+    spans[begin] = Span{end, op};
+  }
+  static void remove(Spans& spans, std::uint64_t begin, std::uint64_t end) {
+    if (begin >= end || overlap(spans, begin, end) == 0) return;
+    insert(spans, begin, end, 0);
+    spans.erase(begin);
+  }
+  static std::uint64_t overlap(const Spans& spans, std::uint64_t begin, std::uint64_t end) {
+    std::uint64_t bytes = 0;
+    for (const auto& [b, span] : spans) {
+      if (b >= end) break;
+      const std::uint64_t lo = std::max(b, begin);
+      const std::uint64_t hi = std::min(span.end, end);
+      if (lo < hi) bytes += hi - lo;
+    }
+    return bytes;
+  }
+  static void write_back(Unit& x, const Spans& written, std::uint64_t limit, bool torn) {
+    for (const auto& [begin, span] : written) {
+      if (begin >= limit) break;
+      const std::uint64_t end = std::min(span.end, limit);
+      insert(x.on_disk, begin, end, span.op);
+      remove(x.corrupt, begin, end);
+    }
+    if (x.corrupt.empty()) x.stale = false;
+    x.torn = torn;
+  }
+  static std::pair<std::uint64_t, std::uint64_t> clipped(const Spans& spans,
+                                                         std::uint64_t limit) {
+    std::uint64_t bytes = 0;
+    std::uint64_t csum = 14695981039346656037ULL;
+    for (const auto& [begin, span] : spans) {
+      if (begin >= limit) break;
+      const std::uint64_t end = std::min(span.end, limit);
+      bytes += end - begin;
+      csum = mix(csum, begin);
+      csum = mix(csum, end);
+      csum = mix(csum, span.op);
+    }
+    return {bytes, csum};
+  }
+
+  std::map<std::pair<std::uint32_t, std::uint64_t>, Unit> units_;
+};
+
+auto fields(const UnitLedger::UnitStatus& s) {
+  return std::make_tuple(s.acked_bytes, s.durable_bytes, s.acked_csum, s.durable_csum, s.torn,
+                         s.corrupt_bytes, s.stale);
+}
+
+TEST(UnitLedger, MatchesMapReference) {
+  // Seeded random histories over six units of 16 KB: 1 KB-aligned and odd
+  // ranges, exact re-writes (same op: a crash-replayed duplicate; new op: an
+  // overwrite), partial overlaps and spans that cover several others, mixed
+  // with write-backs, torn write-backs, redos, read fetches, crashes, bit-rot,
+  // stale marks and repairs.  After every op both ledgers must agree on every
+  // unit's status and on every count the op returned.
+  constexpr std::uint64_t kUnitBytes = 16 * 1024;
+  constexpr int kOpsPerSeed = 25'000;
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    UnitTable table;
+    UnitLedger got(table);
+    RefLedger want;
+    sio::sim::Rng rng(seed);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> written;  // (offset, len) history
+    std::uint64_t next_op = 1;
+    auto range = [&]() -> std::pair<std::uint64_t, std::uint64_t> {
+      const std::int64_t r = rng.uniform_int(0, 99);
+      if (r < 45) {  // 1 KB pieces, as checkpoint writes arrive
+        return {1024 * static_cast<std::uint64_t>(rng.uniform_int(0, 15)),
+                1024 * static_cast<std::uint64_t>(rng.uniform_int(1, 4))};
+      }
+      if (r < 75) {  // odd offsets and lengths
+        return {static_cast<std::uint64_t>(rng.uniform_int(0, kUnitBytes - 1)),
+                static_cast<std::uint64_t>(rng.uniform_int(1, 3000))};
+      }
+      if (r < 90 && !written.empty()) {  // an exact re-write of an earlier range
+        return written[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(written.size()) - 1))];
+      }
+      // Covers several earlier spans, sometimes the whole unit.
+      return {1024 * static_cast<std::uint64_t>(rng.uniform_int(0, 7)),
+              static_cast<std::uint64_t>(rng.uniform_int(4096, kUnitBytes))};
+    };
+    for (int i = 0; i < kOpsPerSeed; ++i) {
+      const auto f = static_cast<std::uint32_t>(rng.uniform_int(0, 1));
+      const auto u = static_cast<std::uint64_t>(rng.uniform_int(0, 2));
+      const std::int64_t kind = rng.uniform_int(0, 99);
+      std::uint64_t got_n = 0;
+      std::uint64_t want_n = 0;
+      if (kind < 40) {
+        const auto [off, len] = range();
+        written.emplace_back(off, len);
+        // A replayed duplicate keeps the op id of the last ack.
+        const std::uint64_t op = rng.uniform_int(0, 9) == 0 ? next_op - 1 : next_op++;
+        got.ack(f, u, off, len, op);
+        want.ack(f, u, off, len, op);
+      } else if (kind < 55) {
+        got.durable(f, u);
+        want.durable(f, u);
+      } else if (kind < 60) {
+        const auto prefix = static_cast<std::uint64_t>(rng.uniform_int(0, kUnitBytes));
+        got.torn(f, u, prefix);
+        want.torn(f, u, prefix);
+      } else if (kind < 64) {
+        got.redone(f, u);
+        want.redone(f, u);
+      } else if (kind < 70) {
+        const auto [off, len] = range();
+        got.observe_durable(f, u, off, len);
+        want.observe_durable(f, u, off, len);
+      } else if (kind < 72) {
+        got.drop_residency();
+        want.drop_residency();
+      } else if (kind < 84) {
+        const auto [off, len] = range();
+        got_n = got.rot(f, u, off, len);
+        want_n = want.rot(f, u, off, len);
+      } else if (kind < 88) {
+        got_n = got.mark_stale(f, u);
+        want_n = want.mark_stale(f, u);
+      } else {
+        got_n = got.repair(f, u);
+        want_n = want.repair(f, u);
+      }
+      ASSERT_EQ(got_n, want_n) << "seed " << seed << " op #" << i << " kind " << kind;
+      for (std::uint32_t cf = 0; cf < 2; ++cf) {
+        for (std::uint64_t cu = 0; cu < 3; ++cu) {
+          ASSERT_EQ(fields(got.status(cf, cu)), fields(want.status(cf, cu)))
+              << "seed " << seed << " op #" << i << " unit " << cf << "/" << cu;
+          ASSERT_EQ(got.acked_undurable_bytes(cf, cu), want.acked_undurable_bytes(cf, cu))
+              << "seed " << seed << " op #" << i << " unit " << cf << "/" << cu;
+          const auto [off, len] = range();
+          ASSERT_EQ(got.corrupt_overlap(cf, cu, off, len), want.corrupt_overlap(cf, cu, off, len))
+              << "seed " << seed << " op #" << i << " unit " << cf << "/" << cu;
+        }
+      }
+    }
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> listed;
+    got.for_each([&](std::uint32_t f, std::uint64_t u, const UnitLedger::UnitStatus&) {
+      listed.emplace_back(f, u);
+    });
+    EXPECT_EQ(listed, want.units()) << "seed " << seed;
+  }
 }
 
 TEST(UnitLedger, ZeroLengthAckLeavesUnitEmpty) {
