@@ -35,6 +35,52 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+/// The first span ending after `pos`: spans are disjoint and sorted, so their
+/// ends are sorted too.
+template <typename Spans>
+auto first_past(Spans& spans, std::uint64_t pos) {
+  return std::partition_point(spans.begin(), spans.end(),
+                              [pos](const LedgerSpan& s) { return s.end <= pos; });
+}
+
+/// Replaces what `spans` holds inside [begin, end) (begin < end) with `with`,
+/// or with nothing when it is null: spans overlapping the range keep only
+/// their remnants outside it.
+void splice(SpanSet& spans, std::uint64_t begin, std::uint64_t end, const LedgerSpan* with) {
+  const auto first = first_past(spans, begin);
+  auto last = first;  // [first, last) overlap the range
+  while (last != spans.end() && last->begin < end) ++last;
+  if (with != nullptr && last - first == 1 && first->begin == begin && first->end == end) {
+    first->op = with->op;  // an exact rewrite: the common write-back case
+    return;
+  }
+  LedgerSpan repl[3];
+  std::ptrdiff_t n = 0;
+  if (first != last && first->begin < begin) repl[n++] = {first->begin, begin, first->op};
+  if (with != nullptr) repl[n++] = *with;
+  if (first != last && std::prev(last)->end > end) {
+    repl[n++] = {end, std::prev(last)->end, std::prev(last)->op};
+  }
+  const std::ptrdiff_t at = first - spans.begin();
+  const std::ptrdiff_t grow = n - (last - first);
+  if (grow > 0) spans.insert(spans.begin() + at, static_cast<std::size_t>(grow), LedgerSpan{});
+  if (grow < 0) spans.erase(spans.begin() + at + n, spans.begin() + at + n - grow);
+  std::copy_n(repl, n, spans.begin() + at);
+}
+
+void insert_span(SpanSet& spans, const LedgerSpan& span) {
+  splice(spans, span.begin, span.end, &span);
+}
+
+/// Bytes of `spans` falling inside [begin, end).
+std::uint64_t overlap_bytes(const SpanSet& spans, std::uint64_t begin, std::uint64_t end) {
+  std::uint64_t bytes = 0;
+  for (auto it = first_past(spans, begin); it != spans.end() && it->begin < end; ++it) {
+    bytes += std::min(it->end, end) - std::max(it->begin, begin);
+  }
+  return bytes;
+}
+
 }  // namespace
 
 UnitLedger::Unit* UnitLedger::find(std::uint32_t file, std::uint64_t unit) const {
@@ -52,8 +98,8 @@ void UnitLedger::ack(std::uint32_t file, std::uint64_t unit, std::uint64_t offse
                      std::uint64_t len, std::uint64_t op_id) {
   if (len == 0) return;
   Unit& u = get(file, unit);
-  insert_span(u.acked, offset, offset + len, op_id);
-  insert_span(u.resident, offset, offset + len, op_id);
+  insert_span(u.acked, {offset, offset + len, op_id});
+  insert_span(u.resident, {offset, offset + len, op_id});
 }
 
 void UnitLedger::durable(std::uint32_t file, std::uint64_t unit) {
@@ -76,7 +122,7 @@ void UnitLedger::observe_durable(std::uint32_t file, std::uint64_t unit, std::ui
   // write-backs alone — a fetch of a unit whose dirty spans a crash dropped
   // must not launder the loss into "durable".
   if (!u.acked.empty()) return;
-  insert_span(u.on_disk, offset, offset + len, /*op=*/0);
+  insert_span(u.on_disk, {offset, offset + len, /*op=*/0});
 }
 
 std::uint64_t UnitLedger::rot(std::uint32_t file, std::uint64_t unit, std::uint64_t offset,
@@ -88,12 +134,12 @@ std::uint64_t UnitLedger::rot(std::uint32_t file, std::uint64_t unit, std::uint6
   std::uint64_t fresh = 0;
   // Clip the rot window to what is actually durable, span by span, and count
   // only bytes that were not already corrupt.
-  for (const auto& [begin, span] : u->on_disk) {
-    const std::uint64_t b = std::max(begin, lo);
+  for (const LedgerSpan& span : u->on_disk) {
+    const std::uint64_t b = std::max(span.begin, lo);
     const std::uint64_t e = std::min(span.end, hi);
     if (b >= e) continue;
     fresh += (e - b) - overlap_bytes(u->corrupt, b, e);
-    insert_span(u->corrupt, b, e, /*op=*/0);
+    insert_span(u->corrupt, {b, e, /*op=*/0});
   }
   return fresh;
 }
@@ -102,9 +148,9 @@ std::uint64_t UnitLedger::mark_stale(std::uint32_t file, std::uint64_t unit) {
   Unit* u = find(file, unit);
   if (u == nullptr) return 0;
   std::uint64_t fresh = 0;
-  for (const auto& [begin, span] : u->on_disk) {
-    fresh += (span.end - begin) - overlap_bytes(u->corrupt, begin, span.end);
-    insert_span(u->corrupt, begin, span.end, /*op=*/0);
+  for (const LedgerSpan& span : u->on_disk) {
+    fresh += (span.end - span.begin) - overlap_bytes(u->corrupt, span.begin, span.end);
+    insert_span(u->corrupt, {span.begin, span.end, /*op=*/0});
   }
   if (!u->corrupt.empty()) u->stale = true;
   return fresh;
@@ -175,74 +221,26 @@ UnitLedger::UnitStatus UnitLedger::status(std::uint32_t file, std::uint64_t unit
   return status_of(*u);
 }
 
-void UnitLedger::insert_span(SpanMap& spans, std::uint64_t begin, std::uint64_t end,
-                             std::uint64_t op) {
-  // Trim a predecessor span that overlaps [begin, end).
-  auto it = spans.lower_bound(begin);
-  if (it != spans.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > begin) {
-      if (prev->second.end > end) spans[end] = LedgerSpan{prev->second.end, prev->second.op};
-      prev->second.end = begin;
-    }
-  }
-  // Remove or trim spans starting inside [begin, end).
-  it = spans.lower_bound(begin);
-  while (it != spans.end() && it->first < end) {
-    if (it->second.end <= end) {
-      it = spans.erase(it);
-    } else {
-      const LedgerSpan tail = it->second;
-      spans.erase(it);
-      spans[end] = tail;
-      break;
-    }
-  }
-  spans[begin] = LedgerSpan{end, op};
-}
-
-std::uint64_t UnitLedger::remove_span(SpanMap& spans, std::uint64_t begin, std::uint64_t end) {
-  if (begin >= end) return 0;
-  const std::uint64_t removed = overlap_bytes(spans, begin, end);
-  if (removed == 0) return 0;
-  // Carving out a range is inserting it then erasing the inserted span.
-  insert_span(spans, begin, end, /*op=*/0);
-  spans.erase(begin);
-  return removed;
-}
-
-std::uint64_t UnitLedger::overlap_bytes(const SpanMap& spans, std::uint64_t begin,
-                                        std::uint64_t end) {
-  std::uint64_t bytes = 0;
-  for (const auto& [b, span] : spans) {
-    if (b >= end) break;
-    const std::uint64_t lo = std::max(b, begin);
-    const std::uint64_t hi = std::min(span.end, end);
-    if (lo < hi) bytes += hi - lo;
-  }
-  return bytes;
-}
-
-void UnitLedger::write_back(Unit& u, const SpanMap& written, std::uint64_t limit, bool torn) {
-  for (const auto& [begin, span] : written) {
-    if (begin >= limit) break;
+void UnitLedger::write_back(Unit& u, const SpanSet& written, std::uint64_t limit, bool torn) {
+  for (const LedgerSpan& span : written) {
+    if (span.begin >= limit) break;
     const std::uint64_t end = std::min(span.end, limit);
-    insert_span(u.on_disk, begin, end, span.op);
-    remove_span(u.corrupt, begin, end);
+    insert_span(u.on_disk, {span.begin, end, span.op});
+    splice(u.corrupt, span.begin, end, nullptr);
   }
   if (u.corrupt.empty()) u.stale = false;
   u.torn = torn;
 }
 
-std::pair<std::uint64_t, std::uint64_t> UnitLedger::clipped(const SpanMap& spans,
+std::pair<std::uint64_t, std::uint64_t> UnitLedger::clipped(const SpanSet& spans,
                                                             std::uint64_t limit) {
   std::uint64_t bytes = 0;
   std::uint64_t csum = kFnvBasis;
-  for (const auto& [begin, span] : spans) {
-    if (begin >= limit) break;
+  for (const LedgerSpan& span : spans) {
+    if (span.begin >= limit) break;
     const std::uint64_t end = std::min(span.end, limit);
-    bytes += end - begin;
-    csum = fnv_mix(csum, begin);
+    bytes += end - span.begin;
+    csum = fnv_mix(csum, span.begin);
     csum = fnv_mix(csum, end);
     csum = fnv_mix(csum, span.op);
   }

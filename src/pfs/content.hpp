@@ -161,20 +161,13 @@ class UnitLedger {
   /// The unit's ledger entry, created on first use.
   Unit& get(std::uint32_t file, std::uint64_t unit);
 
-  static void insert_span(SpanMap& spans, std::uint64_t begin, std::uint64_t end,
-                          std::uint64_t op);
-  /// Removes [begin, end) from `spans`; returns the byte count removed.
-  static std::uint64_t remove_span(SpanMap& spans, std::uint64_t begin, std::uint64_t end);
-  /// Bytes of `spans` falling inside [begin, end).
-  static std::uint64_t overlap_bytes(const SpanMap& spans, std::uint64_t begin,
-                                     std::uint64_t end);
   /// The `written` spans below `limit` reached the array: they join the
   /// on-disk set (an idealized sector-granular write: untouched ranges
   /// survive) and heal any corrupt span they cover (`stale` clears once
   /// nothing is left).  `torn` records whether the write stopped at `limit`.
-  static void write_back(Unit& u, const SpanMap& written, std::uint64_t limit, bool torn);
+  static void write_back(Unit& u, const SpanSet& written, std::uint64_t limit, bool torn);
   /// Coverage + checksum of a span set clipped to [0, limit).
-  static std::pair<std::uint64_t, std::uint64_t> clipped(const SpanMap& spans,
+  static std::pair<std::uint64_t, std::uint64_t> clipped(const SpanSet& spans,
                                                          std::uint64_t limit);
   static UnitStatus status_of(const Unit& u);
 

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -18,22 +17,25 @@
 
 namespace sio::pfs {
 
-/// One ledger interval [begin, end) of a unit, keyed by `begin` in a SpanMap
-/// and tagged with the op that wrote it.
+/// One ledger interval [begin, end) of a unit, tagged with the op that wrote it.
 struct LedgerSpan {
+  std::uint64_t begin = 0;
   std::uint64_t end = 0;
   std::uint64_t op = 0;
 };
-using SpanMap = std::map<std::uint64_t, LedgerSpan>;  // begin -> (end, op); disjoint
+/// Disjoint, non-empty spans sorted by begin (so by end too): a flat vector,
+/// since a unit holds at most a few dozen spans and write-backs mostly
+/// rewrite spans that are already there.
+using SpanSet = std::vector<LedgerSpan>;
 
 /// A unit's acked-vs-durable bookkeeping (see UnitLedger).
 struct LedgerUnit {
   bool live = false;  ///< the ledger tracks this unit
-  SpanMap acked;      ///< cumulative client view — never shrinks
-  SpanMap resident;   ///< what the server cache holds — cleared by a crash
-  SpanMap on_disk;    ///< what actually reached the array
+  SpanSet acked;      ///< cumulative client view — never shrinks
+  SpanSet resident;   ///< what the server cache holds — cleared by a crash
+  SpanSet on_disk;    ///< what actually reached the array
   bool torn = false;
-  SpanMap corrupt;     ///< durable spans holding wrong content
+  SpanSet corrupt;     ///< durable spans holding wrong content
   bool stale = false;  ///< corruption is parity-consistent (unrepairable)
 };
 
