@@ -5,12 +5,15 @@ Run from the repository root:
 
   python3 tools/perfbench_counters.py            # diff against bench/golden/
   python3 tools/perfbench_counters.py --refresh  # rewrite the goldens
+  python3 tools/perfbench_counters.py --binary build/tools/sio_perfbench
 
 For each workload it runs
 
   python3 perfbench/run.py --workload <w> --seed 1 --seconds 1 --trace 1
 
-and keeps every `fingerprint` line plus every `metric` line whose unit is
+or, with --binary, that sio_perfbench binary itself with the same options
+and a temporary --span-file (the golden.perfbench_<w> ctest entries run the
+main build's binary this way).  It keeps every `fingerprint` line plus every `metric` line whose unit is
 `count`, `sim_s` or `B`.  Those are exact for a seed: any change in them is a
 behaviour change.  Host-dependent lines are dropped: every `bench.*` metric
 and `pablo.peak_bytes_retained` (allocator capacity).  The kept lines are
@@ -24,6 +27,7 @@ import difflib
 import os
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_DIR = os.path.join(ROOT, "bench", "golden")
@@ -49,10 +53,15 @@ def exact_lines(stdout):
     return kept
 
 
-def run_workload(workload):
-    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
-           "--seed", "1", "--seconds", "1", "--trace", "1"]
-    out = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+def run_workload(workload, binary):
+    opts = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
+    if binary is None:
+        cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py")] + opts
+        out = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    else:
+        with tempfile.TemporaryDirectory(prefix="perfbench_counters_") as tmp:
+            cmd = [binary] + opts + ["--span-file", os.path.join(tmp, "spans.jsonl")]
+            out = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     if out.returncode != 0:
         print(f"perfbench_counters: {workload}: perfbench exited with {out.returncode}",
               file=sys.stderr)
@@ -72,11 +81,13 @@ def main():
                         help="rewrite bench/golden/perfbench_<w>.txt from this build")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="check only this workload (repeatable; default: all)")
+    parser.add_argument("--binary", metavar="PATH",
+                        help="run this sio_perfbench binary instead of perfbench/run.py")
     args = parser.parse_args()
 
     status = 0
     for workload in args.workload or WORKLOADS:
-        lines = run_workload(workload)
+        lines = run_workload(workload, args.binary)
         if lines is None:
             status = 1
             continue
