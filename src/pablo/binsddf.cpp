@@ -43,22 +43,21 @@ void put_u64_delta(std::string& out, std::uint64_t value, std::uint64_t prev) {
   varint::put_signed(out, static_cast<std::int64_t>(value - prev));
 }
 
-[[noreturn, gnu::cold, gnu::noinline]] void throw_overflow() {
-  throw std::runtime_error("binary SDDF: delta overflows 64 bits");
-}
-
-/// `prev` plus the next signed delta; a sum outside int64 is corrupt input.
-inline std::int64_t add_signed_delta(std::int64_t prev, std::string_view data,
-                                     std::size_t& pos) {
-  std::int64_t sum = 0;
-  if (__builtin_add_overflow(prev, varint::get_signed(data, pos), &sum)) [[unlikely]] {
-    throw_overflow();
-  }
-  return sum;
+/// A signed delta, coded the same way: the difference wraps, so a jump
+/// between any two int64 values (INT64_MIN to INT64_MAX, say) encodes, and
+/// one that fits in int64 keeps its bytes.
+void put_signed_delta(std::string& out, std::int64_t value, std::int64_t prev) {
+  put_u64_delta(out, static_cast<std::uint64_t>(value), static_cast<std::uint64_t>(prev));
 }
 
 std::uint64_t get_u64_delta(std::string_view data, std::size_t& pos, std::uint64_t prev) {
   return prev + static_cast<std::uint64_t>(varint::get_signed(data, pos));
+}
+
+/// `prev` plus the next signed delta, wrapping as put_signed_delta does.
+inline std::int64_t add_signed_delta(std::int64_t prev, std::string_view data,
+                                     std::size_t& pos) {
+  return static_cast<std::int64_t>(get_u64_delta(data, pos, static_cast<std::uint64_t>(prev)));
 }
 
 /// Reads one kind byte of enum E, range-checked against E's name table.
@@ -80,13 +79,13 @@ void put_field(std::string& out, const R& r, const R& prev) {
   const auto v = r.*F::member;
   const auto p = prev.*F::member;
   if constexpr (F::coding == Coding::kDelta) {
-    varint::put_signed(out, static_cast<std::int64_t>(v) - static_cast<std::int64_t>(p));
+    put_signed_delta(out, static_cast<std::int64_t>(v), static_cast<std::int64_t>(p));
   } else if constexpr (F::coding == Coding::kU64Delta) {
     put_u64_delta(out, v, p);
   } else if constexpr (F::coding == Coding::kKind) {
     out.push_back(static_cast<char>(v));
   } else if constexpr (F::coding == Coding::kFile) {
-    varint::put_signed(out, file_as_signed(v) - file_as_signed(p));
+    put_signed_delta(out, file_as_signed(v), file_as_signed(p));
   } else {
     varint::put(out, v);
   }
@@ -179,10 +178,10 @@ void BinarySddfWriter::add_event(const TraceEvent& ev) {
 
   const std::size_t before = raw_.size();
   raw_.push_back(static_cast<char>(tag));
-  varint::put_signed(raw_, ev.start - prev_start_);
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.node) - prev_node_);
-  if (tag & kFlagDur) varint::put_signed(raw_, ev.duration - prev_dur_[opi]);
-  if (tag & kFlagFile) varint::put_signed(raw_, file - prev_file_);
+  put_signed_delta(raw_, ev.start, prev_start_);
+  put_signed_delta(raw_, ev.node, prev_node_);
+  if (tag & kFlagDur) put_signed_delta(raw_, ev.duration, prev_dur_[opi]);
+  if (tag & kFlagFile) put_signed_delta(raw_, file, prev_file_);
   if (tag & kFlagOff) put_u64_delta(raw_, ev.offset, predicted_off);
   if (tag & kFlagBytes) put_u64_delta(raw_, ev.bytes, prev_bytes_[opi]);
   bytes_encoded_ += raw_.size() - before;
@@ -216,15 +215,14 @@ template void BinarySddfWriter::add(const IntegrityEvent&);
 void BinarySddfWriter::add_span(const SpanEvent& ev) {
   const std::size_t before = raw_.size();
   raw_.push_back(static_cast<char>(kTagSpan));
-  varint::put_signed(raw_, ev.end() - prev_span_.end());
-  varint::put_signed(raw_, ev.duration - prev_span_.duration);
+  put_signed_delta(raw_, ev.end(), prev_span_.end());
+  put_signed_delta(raw_, ev.duration, prev_span_.duration);
   put_u64_delta(raw_, ev.op_id, prev_span_.op_id);
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.span) -
-                               static_cast<std::int64_t>(prev_span_.span));
+  put_signed_delta(raw_, ev.span, prev_span_.span);
   varint::put(raw_, ev.parent == 0 ? 0 : ev.span - ev.parent);
   raw_.push_back(static_cast<char>(ev.stage));
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.node) - prev_span_.node);
-  varint::put_signed(raw_, static_cast<std::int64_t>(ev.target) - prev_span_.target);
+  put_signed_delta(raw_, ev.node, prev_span_.node);
+  put_signed_delta(raw_, ev.target, prev_span_.target);
   put_u64_delta(raw_, ev.bytes, prev_span_.bytes);
   varint::put(raw_, ev.flags);
   put_u64_delta(raw_, ev.info, prev_span_.info);

@@ -305,15 +305,11 @@ TEST(BinSddf, RejectsFileRecordLengthThatWrapsTheOffset) {
 }
 
 TEST(BinSddf, RejectsDeltasThatOverflowTheirField) {
-  // File-less events whose start deltas sum past INT64_MAX must be rejected,
-  // not wrapped.
-  const auto trace = [](std::vector<std::int64_t> start_deltas) {
-    std::string records;
-    for (const std::int64_t d : start_deltas) {
-      records += static_cast<char>(0x80);  // event, op 0, no presence flags
-      varint::put_signed(records, d);      // start
-      varint::put_signed(records, 0);      // node
-    }
+  // Signed deltas wrap mod 2^64, as the writer codes them, so start deltas
+  // that sum past INT64_MAX land back in int64.  A delta whose sum overflows
+  // the field it decodes into is still rejected: a file id that leaves the
+  // file table, and a span whose start (end - duration) leaves int64.
+  const auto container = [](std::string records) {
     records += '\0';
     std::string c(kBinarySddfMagic);
     varint::put(c, records.size());
@@ -321,9 +317,72 @@ TEST(BinSddf, RejectsDeltasThatOverflowTheirField) {
     return c + records;
   };
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  EXPECT_EQ(from_binary_sddf(trace({kMax})).events.at(0).start, kMax);
-  EXPECT_THROW(from_binary_sddf(trace({kMax, 1})), std::runtime_error);
-  EXPECT_THROW(from_binary_sddf(trace({-kMax, -2})), std::runtime_error);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  std::string starts;
+  for (const std::int64_t d : {kMax, std::int64_t{1}}) {
+    starts += static_cast<char>(0x80);  // event, op 0, no presence flags
+    varint::put_signed(starts, d);      // start
+    varint::put_signed(starts, 0);      // node
+  }
+  EXPECT_EQ(from_binary_sddf(container(starts)).events.at(1).start, kMin);
+
+  std::string file;
+  file += static_cast<char>(0x80 | 0x02);  // event, op 0, file present
+  varint::put_signed(file, 0);             // start
+  varint::put_signed(file, 0);             // node
+  varint::put_signed(file, kMin);          // file: -1 + INT64_MIN wraps to INT64_MAX
+  EXPECT_THROW(from_binary_sddf(container(file)), std::runtime_error);
+
+  const auto span = [](std::int64_t end, std::int64_t duration) {
+    std::string r(1, '\x06');
+    varint::put_signed(r, end);
+    varint::put_signed(r, duration);
+    varint::put_signed(r, 0);  // op id
+    varint::put_signed(r, 1);  // span id
+    varint::put(r, 0);         // root
+    r += '\0';                 // stage
+    for (int i = 0; i < 3; ++i) varint::put_signed(r, 0);  // node, target, bytes
+    varint::put(r, 0);                                     // flags
+    varint::put_signed(r, 0);                              // info
+    return r;
+  };
+  EXPECT_EQ(from_binary_sddf(container(span(kMin, 0))).spans.at(0).start, kMin);
+  EXPECT_THROW(from_binary_sddf(container(span(kMin, 1))), std::runtime_error);
+}
+
+TEST(BinSddf, RoundTripsInt64ExtremeDeltas) {
+  // Faults at INT64_MIN then INT64_MAX, and events and spans whose times jump
+  // the same way: each delta overflows int64, so the writer must code it
+  // wrapped.  The batch and the live writer both decode to the trace.
+  constexpr sim::Tick kMin = std::numeric_limits<sim::Tick>::min();
+  constexpr sim::Tick kMax = std::numeric_limits<sim::Tick>::max();
+  TraceFile t;
+  t.file_names = {"a"};
+  for (const sim::Tick at : {kMin, kMax, kMin, sim::Tick{0}}) {
+    t.faults.push_back({at, 1, FaultKind{}, 0, -1, 0});
+    t.events.push_back(ev(at, at == kMin ? kMax : kMin, 0, 0, IoOp::kRead, 0, 64));
+    SpanEvent s;
+    s.start = at;
+    s.span = static_cast<std::uint32_t>(t.spans.size() + 1);
+    t.spans.push_back(s);
+  }
+  const auto expect_trace = [&](const std::string& bytes) {
+    const TraceFile back = from_binary_sddf(bytes);
+    EXPECT_EQ(back.file_names, t.file_names);
+    EXPECT_EQ(back.events, t.events);
+    EXPECT_EQ(back.faults, t.faults);
+    EXPECT_EQ(back.spans, t.spans);
+  };
+  expect_trace(to_binary_sddf(t.file_names, t.events, t.faults, {}, {}, {}, t.spans));
+
+  BinarySddfWriter w;
+  w.add_file("a");
+  for (std::size_t i = 0; i < t.events.size(); ++i) {
+    w.add(t.faults[i]);
+    w.add_event(t.events[i]);
+    w.add_span(t.spans[i]);
+  }
+  expect_trace(w.finish());
 }
 
 TEST(BinSddf, RejectsMalformedOccurrenceRecords) {
@@ -392,7 +451,8 @@ std::uint64_t fnv1a(std::string_view s) {
 
 /// Occurrence records that walk every field's coding through its edges:
 /// every kind value, kNoFile and in-table files, node/target -1, INT64
-/// extremes for `at` (ordered so no delta overflows), UINT64_MAX for the
+/// extremes for `at` (in an order whose deltas fit in int64, so these bytes
+/// predate wrapped signed deltas), UINT64_MAX for the
 /// wraparound fields, deltas that go backwards, and torn 0/1.
 TraceFile occurrence_extremes() {
   constexpr sim::Tick kMinTick = std::numeric_limits<sim::Tick>::min();
