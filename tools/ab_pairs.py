@@ -77,13 +77,21 @@ def quartiles(values):
 
 
 def fmt(value, unit):
+    """A value as EXPERIMENTS.md tables print it, without its unit."""
     if unit == "s":
-        return f"{value:.3f} s"
+        return f"{value:.3f}"
     if unit == "ns":
         return f"{value:.0f}"
     if unit == "MB":
         return f"{value:.1f}"
     return f"{value:.4g}"
+
+
+def cell(values, unit):
+    """median [q1, q3] of `values`; seconds carry their unit on the median."""
+    q1, med, q3 = quartiles(values)
+    suffix = " s" if unit == "s" else ""
+    return f"{fmt(med, unit)}{suffix} [{fmt(q1, unit)}, {fmt(q3, unit)}]"
 
 
 def signed_pct(ratio):
@@ -127,14 +135,13 @@ def report(workload, runs, metrics):
             continue
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
-        p1, pm, p3 = quartiles(parent)
-        c1, cm, c3 = quartiles(change)
+        pm = statistics.median(parent)
+        cm = statistics.median(change)
         wins, rule = verdict(parent, change, better)
         ratio = signed_pct(cm / pm) if pm else "n/a"
         word = "lower" if better == "lower" else "higher"
-        print(f"| `{workload}` | `{name}` | {fmt(pm, unit)} [{fmt(p1, unit)}, {fmt(p3, unit)}] "
-              f"| {fmt(cm, unit)} [{fmt(c1, unit)}, {fmt(c3, unit)}] | {ratio} "
-              f"| {word} in {wins} of {n} | {rule} |")
+        print(f"| `{workload}` | `{name}` | {cell(parent, unit)} | {cell(change, unit)} "
+              f"| {ratio} | {word} in {wins} of {n} | {rule} |")
     mismatches = []
     for i, (p, c) in enumerate(zip(runs["parent"], runs["change"]), start=1):
         for name in EXACT:
