@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 namespace sio::pfs {
 
@@ -43,21 +44,22 @@ auto first_past(Spans& spans, std::uint64_t pos) {
                               [pos](const LedgerSpan& s) { return s.end <= pos; });
 }
 
-/// Replaces what `spans` holds inside [begin, end) (begin < end) with `with`,
-/// or with nothing when it is null: spans overlapping the range keep only
-/// their remnants outside it.
-void splice(SpanSet& spans, std::uint64_t begin, std::uint64_t end, const LedgerSpan* with) {
+/// Replaces what `spans` holds inside [begin, end) (begin < end) with one span
+/// written by `op`, or with nothing when `op` is empty: spans overlapping the
+/// range keep only their remnants outside it.
+void splice(SpanSet& spans, std::uint64_t begin, std::uint64_t end,
+            std::optional<std::uint64_t> op) {
   const auto first = first_past(spans, begin);
   auto last = first;  // [first, last) overlap the range
   while (last != spans.end() && last->begin < end) ++last;
-  if (with != nullptr && last - first == 1 && first->begin == begin && first->end == end) {
-    first->op = with->op;  // an exact rewrite: the common write-back case
+  if (op && last - first == 1 && first->begin == begin && first->end == end) {
+    first->op = *op;  // an exact rewrite: the common write-back case
     return;
   }
   LedgerSpan repl[3];
   std::ptrdiff_t n = 0;
   if (first != last && first->begin < begin) repl[n++] = {first->begin, begin, first->op};
-  if (with != nullptr) repl[n++] = *with;
+  if (op) repl[n++] = {begin, end, *op};
   if (first != last && std::prev(last)->end > end) {
     repl[n++] = {end, std::prev(last)->end, std::prev(last)->op};
   }
@@ -66,10 +68,6 @@ void splice(SpanSet& spans, std::uint64_t begin, std::uint64_t end, const Ledger
   if (grow > 0) spans.insert(spans.begin() + at, static_cast<std::size_t>(grow), LedgerSpan{});
   if (grow < 0) spans.erase(spans.begin() + at + n, spans.begin() + at + n - grow);
   std::copy_n(repl, n, spans.begin() + at);
-}
-
-void insert_span(SpanSet& spans, const LedgerSpan& span) {
-  splice(spans, span.begin, span.end, &span);
 }
 
 /// Bytes of `spans` falling inside [begin, end).
@@ -98,8 +96,8 @@ void UnitLedger::ack(std::uint32_t file, std::uint64_t unit, std::uint64_t offse
                      std::uint64_t len, std::uint64_t op_id) {
   if (len == 0) return;
   Unit& u = get(file, unit);
-  insert_span(u.acked, {offset, offset + len, op_id});
-  insert_span(u.resident, {offset, offset + len, op_id});
+  splice(u.acked, offset, offset + len, op_id);
+  splice(u.resident, offset, offset + len, op_id);
 }
 
 void UnitLedger::durable(std::uint32_t file, std::uint64_t unit) {
@@ -122,7 +120,7 @@ void UnitLedger::observe_durable(std::uint32_t file, std::uint64_t unit, std::ui
   // write-backs alone — a fetch of a unit whose dirty spans a crash dropped
   // must not launder the loss into "durable".
   if (!u.acked.empty()) return;
-  insert_span(u.on_disk, {offset, offset + len, /*op=*/0});
+  splice(u.on_disk, offset, offset + len, /*op=*/0);
 }
 
 std::uint64_t UnitLedger::rot(std::uint32_t file, std::uint64_t unit, std::uint64_t offset,
@@ -139,7 +137,7 @@ std::uint64_t UnitLedger::rot(std::uint32_t file, std::uint64_t unit, std::uint6
     const std::uint64_t e = std::min(span.end, hi);
     if (b >= e) continue;
     fresh += (e - b) - overlap_bytes(u->corrupt, b, e);
-    insert_span(u->corrupt, {b, e, /*op=*/0});
+    splice(u->corrupt, b, e, /*op=*/0);
   }
   return fresh;
 }
@@ -150,7 +148,7 @@ std::uint64_t UnitLedger::mark_stale(std::uint32_t file, std::uint64_t unit) {
   std::uint64_t fresh = 0;
   for (const LedgerSpan& span : u->on_disk) {
     fresh += (span.end - span.begin) - overlap_bytes(u->corrupt, span.begin, span.end);
-    insert_span(u->corrupt, {span.begin, span.end, /*op=*/0});
+    splice(u->corrupt, span.begin, span.end, /*op=*/0);
   }
   if (!u->corrupt.empty()) u->stale = true;
   return fresh;
@@ -225,8 +223,8 @@ void UnitLedger::write_back(Unit& u, const SpanSet& written, std::uint64_t limit
   for (const LedgerSpan& span : written) {
     if (span.begin >= limit) break;
     const std::uint64_t end = std::min(span.end, limit);
-    insert_span(u.on_disk, {span.begin, end, span.op});
-    splice(u.corrupt, span.begin, end, nullptr);
+    splice(u.on_disk, span.begin, end, span.op);
+    splice(u.corrupt, span.begin, end, std::nullopt);
   }
   if (u.corrupt.empty()) u.stale = false;
   u.torn = torn;
