@@ -23,9 +23,9 @@ struct LedgerSpan {
   std::uint64_t end = 0;
   std::uint64_t op = 0;
 };
-/// Disjoint, non-empty spans sorted by begin (so by end too): a flat vector,
-/// since a unit holds at most a few dozen spans and write-backs mostly
-/// rewrite spans that are already there.
+/// Disjoint, non-empty spans sorted by begin (so by end too).  A flat vector:
+/// a unit holds few spans (64 for a 64 KB unit written in 1 KB pieces), and a
+/// write-back mostly rewrites spans that are already on disk.
 using SpanSet = std::vector<LedgerSpan>;
 
 /// A unit's acked-vs-durable bookkeeping (see UnitLedger).

@@ -13,13 +13,14 @@ For each workload it runs
 
 or, with --binary, that sio_perfbench binary itself with the same options
 and a temporary --span-file (the golden.perfbench_<w> ctest entries run the
-main build's binary this way).  It keeps every `fingerprint` line plus every `metric` line whose unit is
-`count`, `sim_s` or `B`.  Those are exact for a seed: any change in them is a
-behaviour change.  Host-dependent lines are dropped: every `bench.*` metric
-and `pablo.peak_bytes_retained` (allocator capacity).  The kept lines are
-compared byte for byte with bench/golden/perfbench_<w>.txt.  A run whose own
-pass checks failed (no `checks ok` line) fails too.  Exit status is 0 when
-every workload passes its checks and matches, 1 otherwise.
+main build's binary this way).  It keeps every `fingerprint` line plus every
+`metric` line whose unit is `count`, `sim_s` or `B`.  Those are exact for a
+seed: any change in them is a behaviour change.  Host-dependent lines are
+dropped: every `bench.*` metric and `pablo.peak_bytes_retained` (allocator
+capacity).  The kept lines are compared byte for byte with
+bench/golden/perfbench_<w>.txt.  A run whose own pass checks failed (no
+`checks ok` line) fails too.  Exit status is 0 when every workload passes
+its checks and matches, 1 otherwise.
 """
 
 import argparse
